@@ -31,9 +31,7 @@ log = logging.getLogger("repro.runner")
 from repro.energy import EnergyAccount, account_run, ed2p
 from repro.machine import Machine, RunResult
 from repro.runner.backends import (ExecutionBackend, InlineBackend,
-                                   ProcessPoolBackend, drain_finished,
-                                   kill_workers, make_backend, new_pool,
-                                   pool_worker_init)
+                                   ProcessPoolBackend, make_backend)
 from repro.runner.cache import CacheCorruption, ResultCache
 from repro.runner.spec import RunSpec
 from repro.workloads import make_workload
@@ -41,10 +39,6 @@ from repro.workloads.registry import PARAMETRIC_WORKLOADS
 
 __all__ = ["BenchmarkRun", "Engine", "EngineStats", "RunFailure",
            "execute_spec"]
-
-#: backwards-compatible alias — the initializer moved to repro.runner.backends
-_pool_worker_init = pool_worker_init
-
 
 @dataclass
 class BenchmarkRun:
@@ -155,12 +149,6 @@ class Engine:
             (e.g. a configured
             :class:`~repro.runner.remote.RemoteBackend`).
     """
-
-    # shared pool plumbing, re-exported for the supervisor and tests
-    # (the implementations moved to repro.runner.backends)
-    _new_pool = staticmethod(new_pool)
-    _kill_workers = staticmethod(kill_workers)
-    _drain_finished = staticmethod(drain_finished)
 
     def __init__(self, jobs: int = 1, cache_dir: Optional[str] = None,
                  timeout: Optional[float] = None, retries: int = 0,

@@ -619,7 +619,8 @@ class RemoteBackend(ExecutionBackend):
                 for address in self.addresses]
 
     # ------------------------------------------------------------------ #
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None):
+    def execute(self, todo, engine, *, land=None, fail=None, tick=None,
+                policy=None):
         from repro.runner.engine import RunFailure
 
         out: Dict[str, object] = {}

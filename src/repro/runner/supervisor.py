@@ -14,18 +14,17 @@ killed by the OS, or a Ctrl-C half-way through.  The
   aborting on the first failure; ``"abort"`` reproduces the engine's
   classic die-on-first-failure contract.
 - **crash recovery** — a dead process pool (``BrokenProcessPool``) is
-  rebuilt and its in-flight specs are resubmitted, after an exponential
-  backoff with seeded jitter.  Repeated consecutive pool deaths shed
-  concurrency (the admission *window* halves, never below 1) in the
-  spirit of Dice & Kogan's *Avoiding Scalability Collapse by Restricting
-  Concurrency*; a sustained healthy streak restores it.
-- **poison quarantine** — specs that were in flight when a pool died are
-  re-run one at a time in an isolation pool, where blame is unambiguous.
-  A spec that kills its (solo) worker ``quarantine_threshold`` times is
-  parked: its outcome becomes ``quarantined``, it is recorded in the
-  manifest and the quarantine file with its digest and last failure, and
-  it is never resubmitted for the rest of the campaign (including
-  resumed passes).
+  rebuilt after an exponential backoff with seeded jitter.  Repeated
+  consecutive pool deaths shed concurrency (the admission *window*
+  halves, never below 1) in the spirit of Dice & Kogan's *Avoiding
+  Scalability Collapse by Restricting Concurrency*; a sustained healthy
+  streak restores it.
+- **poison quarantine** — the pool loop re-runs every spec lost with a
+  dead pool alone, where blame is unambiguous.  A spec that kills its
+  (solo) worker ``quarantine_threshold`` times is parked: its outcome
+  becomes ``quarantined``, it is recorded in the manifest and the
+  quarantine file with its digest and last failure, and it is never
+  resubmitted for the rest of the campaign (including resumed passes).
 - **checkpoint / resume** — when given a ``manifest_path`` the
   supervisor writes an atomically-replaced JSON manifest (pending /
   done / failed / quarantined digests + engine stats) every time a
@@ -35,10 +34,21 @@ killed by the OS, or a Ctrl-C half-way through.  The
   raise :class:`CampaignInterrupted` instead of tearing the process
   down mid-write.
 
+The supervisor is policy, not a second execution loop: every batch
+goes through the engine's backend as
+``backend.execute(todo, engine, land=, fail=, tick=, policy=self)``.
+The backend's hooks carry the outcome taxonomy and fail-policy
+(``fail``), manifest checkpoints (``land``) and signals (``tick``); for
+the process pool — the supervisor's default, so crashes and hangs stay
+outside the campaign process — the supervisor is also the
+:class:`~repro.runner.backends.PoolPolicy` that counts kills toward
+quarantine, backs off and sizes the admission window.  The pool
+mechanics (deadlines, survivor landing, kill-and-rebuild, solo re-runs)
+live once, in :class:`~repro.runner.backends.ProcessPoolBackend`.
+
 The supervisor reaches into the engine's internal ``_lookup`` /
-``_commit`` / ``_execute_fn`` on purpose: they are the engine's caching
-contract, and the two classes live in the same package and release
-train.
+``_commit`` on purpose: they are the engine's caching contract, and the
+two classes live in the same package and release train.
 """
 
 from __future__ import annotations
@@ -51,15 +61,11 @@ import signal
 import tempfile
 import threading
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.runner.backends import drain_finished, kill_workers, new_pool
+from repro.runner.backends import RERUN, SETTLE, PoolPolicy
 from repro.runner.engine import BenchmarkRun, Engine, RunFailure
 from repro.runner.outcome import (OK, QUARANTINED, RunOutcome,
                                   classify_failure, summarize_outcomes)
@@ -72,9 +78,6 @@ log = logging.getLogger("repro.runner")
 
 #: bump when the manifest JSON layout changes
 MANIFEST_VERSION = 1
-
-#: how often the execution loops poll for signals/deadlines (seconds)
-_POLL_INTERVAL = 0.1
 
 
 class CampaignInterrupted(RuntimeError):
@@ -225,15 +228,16 @@ class _SpecState:
     last_error: Optional[BaseException] = None
 
 
-class Supervisor:
+class Supervisor(PoolPolicy):
     """Failure-isolating, crash-recovering campaign executor.
 
     Args:
         engine: the configured :class:`Engine` whose caches, timeout,
             retry budget and ``jobs`` the campaign uses.  Unlike the
-            bare engine, the supervisor *always* executes on a process
-            pool (``jobs=1`` becomes a one-worker pool) so crashes and
-            hangs stay isolated from the campaign process.
+            bare engine, the supervisor executes on a process pool
+            unless the engine names another backend (``jobs=1`` becomes
+            a one-worker pool) so crashes and hangs stay isolated from
+            the campaign process.
         fail_policy: ``"collect"`` (default) records failures as
             outcomes and keeps going; ``"abort"`` raises
             :class:`RunFailure` on the first exhausted spec.
@@ -319,6 +323,7 @@ class Supervisor:
 
         #: every outcome across this supervisor's campaigns, in order
         self.outcomes: List[RunOutcome] = []
+        self._state: Dict[str, _SpecState] = {}  # the running batch's specs
         self._interrupt: Optional[int] = None
         self._old_handlers: Dict[int, object] = {}
 
@@ -369,14 +374,7 @@ class Supervisor:
                     self.manifest.mark_pending(digest)
                 self._flush_manifest()
             if todo:
-                state = {digest: _SpecState(spec)
-                         for digest, spec in todo.items()}
-                backend = self._delegated_backend()
-                if backend is not None:
-                    self._delegated_phase(todo, state, by_digest, backend)
-                else:
-                    suspects = self._herd_phase(todo, state, by_digest)
-                    self._suspect_phase(todo, state, suspects, by_digest)
+                self._execute(todo, by_digest)
             self._flush_manifest()
             outcomes = [by_digest[digest] for digest in order]
             self.outcomes.extend(outcomes)
@@ -399,47 +397,54 @@ class Supervisor:
                 f"policy={self.fail_policy}")
 
     # ------------------------------------------------------------------ #
-    # delegated phase: an explicit non-pool backend executes the batch
+    # execution: one backend call, outcomes through its hooks
     # ------------------------------------------------------------------ #
-    def _delegated_backend(self):
-        """The engine's explicit backend, when the supervisor should
-        delegate to it instead of herding its own process pools.
-
-        Pool-based execution (the default, and explicit
-        ``process-pool``) keeps the supervisor's own herd/suspect
-        machinery — that is where broken-pool blame, admission-window
-        shedding and quarantine are meaningful.  An explicit ``inline``
-        or ``remote`` backend executes the batch itself; the supervisor
-        still provides the outcome taxonomy, fail-policy, manifests and
-        checkpointing on top (worker-kill quarantine does not apply:
-        there is no local pool to die).
-        """
-        backend = self.engine.backend
-        if backend is not None and backend.name != "process-pool":
-            return backend
-        return None
-
-    def _delegated_phase(self, todo: Dict[str, RunSpec],
-                         state: Dict[str, _SpecState],
-                         by_digest: Dict[str, RunOutcome], backend) -> None:
-        """Run ``todo`` through ``backend`` with per-spec outcomes.
+    def _execute(self, todo: Dict[str, RunSpec],
+                 by_digest: Dict[str, RunOutcome]) -> None:
+        """Run ``todo`` through the engine's backend with per-spec outcomes.
 
         The backend handles its own retry budget (charging
         ``engine.stats``); an exhausted spec reaches ``fail`` exactly
         once, where the fail-policy decides between aborting and
-        recording a classified outcome.
+        recording a classified (or quarantined) outcome.
         """
+        self._state = {digest: _SpecState(spec)
+                       for digest, spec in todo.items()}
+        backend = self.engine.backend
+        if backend is None:
+            backend = self.engine._auto_pool
+
         def land(digest: str, run: BenchmarkRun) -> None:
+            """Commit, record the outcome, heal the window, checkpoint."""
             self.engine._commit(digest, run)
-            self._land_bookkeeping(digest, run, state, by_digest)
+            st = self._state[digest]
+            by_digest[digest] = RunOutcome(st.spec, digest, OK, run=run,
+                                           attempts=st.attempts + 1,
+                                           kills=st.kills)
+            self._consecutive_deaths = 0
+            self._clean_streak += 1
+            ceiling = max(1, self.engine.jobs)
+            if self._clean_streak >= self.heal_after and self.window < ceiling:
+                self.window = min(ceiling, self.window * 2)
+                self._clean_streak = 0
+                log.info("[campaign] sustained health: admission window "
+                         "restored to %d", self.window)
+            if self.manifest is not None:
+                self.manifest.mark_done(digest)
+                self._flush_manifest()
+            if self.on_checkpoint is not None:
+                self.on_checkpoint(self)
 
         def fail(digest: str, exc: BaseException) -> None:
-            st = state[digest]
-            st.attempts += 1
+            st = self._state[digest]
             st.last_error = exc
             if self.fail_policy == "abort":
                 self._flush_manifest()
                 raise RunFailure(st.spec, exc) from exc
+            if st.kills >= self.quarantine_threshold:
+                self._quarantine(digest, st, by_digest)
+                return
+            st.attempts += 1
             status = classify_failure(exc)
             by_digest[digest] = RunOutcome(st.spec, digest, status,
                                            error=repr(exc),
@@ -451,269 +456,11 @@ class Supervisor:
                                           st.attempts, st.spec.to_dict())
                 self._flush_manifest()
 
-        def tick() -> None:
-            self._check_interrupt(None)
-
-        backend.execute(todo, self.engine, land=land, fail=fail, tick=tick)
-
-    # ------------------------------------------------------------------ #
-    # herd phase: everything rides the shared pool
-    # ------------------------------------------------------------------ #
-    def _herd_phase(self, todo: Dict[str, RunSpec],
-                    state: Dict[str, _SpecState],
-                    by_digest: Dict[str, RunOutcome]) -> List[str]:
-        """Run ``todo`` over the shared pool; returns pool-death suspects.
-
-        Suspects — the specs that were in flight whenever the pool died
-        — are *not* retried here, because blame is ambiguous in a shared
-        pool; they graduate to :meth:`_suspect_phase` isolation instead.
-        """
-        max_workers = min(max(1, self.engine.jobs), len(todo))
-        timeout = self.engine.timeout
-        pool = new_pool(max_workers)
-        queue = deque(todo)
-        inflight: Dict[object, str] = {}
-        deadlines: Dict[object, Optional[float]] = {}
-        suspects: List[str] = []
-
-        def to_suspects(victims: List[str],
-                        cause: BaseException) -> None:
-            for digest in victims:
-                st = state[digest]
-                st.last_error = cause
-                if len(victims) == 1:
-                    st.kills += 1  # sole occupant: blame is unambiguous
-                if digest not in suspects:
-                    suspects.append(digest)
-
-        def drain_survivors() -> List[str]:
-            """Land in-flight futures that finished before the pool died;
-            only the genuinely lost digests become suspects."""
-            return drain_finished(
-                inflight, deadlines,
-                lambda digest, run: self._land(digest, run, state,
-                                               by_digest))
-
-        try:
-            while queue or inflight:
-                self._check_interrupt(pool)
-                window = min(self.window, max_workers)
-                try:
-                    while queue and len(inflight) < window:
-                        digest = queue.popleft()
-                        future = pool.submit(self.engine._execute_fn,
-                                             todo[digest])
-                        inflight[future] = digest
-                        deadlines[future] = (
-                            time.monotonic() + timeout
-                            if timeout is not None else None)
-                except BrokenProcessPool as exc:
-                    to_suspects([digest] + drain_survivors(), exc)
-                    pool = self._rebuild_pool(pool, max_workers)
-                    continue
-                if not inflight:
-                    continue
-                wait_for = _POLL_INTERVAL
-                if timeout is not None:
-                    now = time.monotonic()
-                    wait_for = min(wait_for,
-                                   max(0.0, min(deadlines[f]
-                                                for f in inflight) - now))
-                done, _ = wait(set(inflight), timeout=wait_for,
-                               return_when=FIRST_COMPLETED)
-                broken: Optional[BaseException] = None
-                for future in sorted(done,
-                                     key=lambda f: f.exception() is not None):
-                    digest = inflight.pop(future)
-                    deadlines.pop(future, None)
-                    exc = future.exception()
-                    if exc is None:
-                        self._land(digest, future.result(), state, by_digest)
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken = exc
-                        to_suspects([digest] + drain_survivors(), exc)
-                        break
-                    else:
-                        self._ordinary_failure(digest, exc, state, by_digest,
-                                               requeue=queue)
-                if broken is not None:
-                    pool = self._rebuild_pool(pool, max_workers)
-                    continue
-                if timeout is not None and inflight:
-                    pool = self._enforce_deadlines(
-                        pool, max_workers, queue, inflight, deadlines,
-                        state, by_digest)
-        finally:
-            kill_workers(pool)
-        return suspects
-
-    def _enforce_deadlines(self, pool, max_workers, queue, inflight,
-                           deadlines, state, by_digest):
-        """Expire over-deadline futures; kill the pool if one is stuck."""
-        now = time.monotonic()
-        expired = [f for f in list(inflight)
-                   if deadlines[f] is not None and now >= deadlines[f]]
-        stuck = False
-        for future in expired:
-            if future.done():
-                continue  # finished in the race; collected next wait()
-            cause = FuturesTimeout(
-                f"exceeded {self.engine.timeout}s budget")
-            if future.cancel():
-                digest = inflight.pop(future)
-                deadlines.pop(future, None)
-                self._ordinary_failure(digest, cause, state, by_digest,
-                                       requeue=queue)
-            elif future.done():
-                # completed between the done() check and cancel();
-                # leave it in flight for the next wait() to collect
-                continue
-            else:
-                digest = inflight.pop(future)
-                deadlines.pop(future, None)
-                stuck = True
-                self._ordinary_failure(digest, cause, state, by_digest,
-                                       requeue=queue)
-        if stuck:
-            # a hung worker poisons the whole pool: kill it, requeue the
-            # innocent in-flight specs (no attempt charged), and rebuild
-            self.timeout_kills += 1
-            innocents = list(inflight.values())
-            inflight.clear()
-            deadlines.clear()
-            kill_workers(pool)
-            queue.extendleft(innocents)
-            self.rebuilds += 1
-            pool = new_pool(max_workers)
-        return pool
-
-    # ------------------------------------------------------------------ #
-    # suspect phase: one spec at a time, blame is unambiguous
-    # ------------------------------------------------------------------ #
-    def _suspect_phase(self, todo: Dict[str, RunSpec],
-                       state: Dict[str, _SpecState], suspects: List[str],
-                       by_digest: Dict[str, RunOutcome]) -> None:
-        for digest in suspects:
-            if digest in by_digest:
-                continue
-            spec, st = todo[digest], state[digest]
-            while digest not in by_digest:
-                self._check_interrupt(None)
-                pool = new_pool(1)
-                future = pool.submit(self.engine._execute_fn, spec)
-                try:
-                    run = self._solo_result(future, pool)
-                except BrokenProcessPool as exc:
-                    st.kills += 1
-                    st.last_error = exc
-                    self.pool_deaths += 1
-                    self._consecutive_deaths += 1
-                    self._clean_streak = 0
-                    log.warning("[campaign] %s killed its isolated worker "
-                                "(%d/%d)", digest[:12], st.kills,
-                                self.quarantine_threshold)
-                    if st.kills >= self.quarantine_threshold:
-                        self._quarantine(digest, st, by_digest)
-                    else:
-                        self._backoff()
-                except FuturesTimeout as exc:
-                    self.timeout_kills += 1
-                    self._ordinary_failure(digest, exc, state, by_digest)
-                except CampaignInterrupted:
-                    # a signal must stop the campaign, not be misfiled as
-                    # this spec's failure (it is a RuntimeError, so the
-                    # generic handler below would otherwise swallow it)
-                    raise
-                except Exception as exc:
-                    self._ordinary_failure(digest, exc, state, by_digest)
-                else:
-                    self._land(digest, run, state, by_digest)
-                finally:
-                    kill_workers(pool)
-
-    def _solo_result(self, future, pool):
-        """Wait for an isolated run, honouring signals and the timeout."""
-        deadline = (time.monotonic() + self.engine.timeout
-                    if self.engine.timeout is not None else None)
-        while True:
-            self._check_interrupt(pool)
-            try:
-                return future.result(timeout=_POLL_INTERVAL)
-            except FuturesTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise FuturesTimeout(
-                        f"exceeded {self.engine.timeout}s budget") from None
-
-    # ------------------------------------------------------------------ #
-    # shared bookkeeping
-    # ------------------------------------------------------------------ #
-    def _land(self, digest: str, run: BenchmarkRun,
-              state: Dict[str, _SpecState],
-              by_digest: Dict[str, RunOutcome]) -> None:
-        """A result arrived: commit, checkpoint, heal the window."""
-        self.engine._commit(digest, run)
-        self._land_bookkeeping(digest, run, state, by_digest)
-
-    def _land_bookkeeping(self, digest: str, run: BenchmarkRun,
-                          state: Dict[str, _SpecState],
-                          by_digest: Dict[str, RunOutcome]) -> None:
-        """Outcome, manifest and window bookkeeping for a landed result
-        (the commit itself already happened)."""
-        st = state[digest]
-        by_digest[digest] = RunOutcome(st.spec, digest, OK, run=run,
-                                       attempts=st.attempts + 1,
-                                       kills=st.kills)
-        self._consecutive_deaths = 0
-        self._clean_streak += 1
-        ceiling = max(1, self.engine.jobs)
-        if self._clean_streak >= self.heal_after and self.window < ceiling:
-            self.window = min(ceiling, self.window * 2)
-            self._clean_streak = 0
-            log.info("[campaign] sustained health: admission window "
-                     "restored to %d", self.window)
-        if self.manifest is not None:
-            self.manifest.mark_done(digest)
-            self._flush_manifest()
-        if self.on_checkpoint is not None:
-            self.on_checkpoint(self)
-
-    def _ordinary_failure(self, digest: str, exc: BaseException,
-                          state: Dict[str, _SpecState],
-                          by_digest: Dict[str, RunOutcome],
-                          requeue: Optional[deque] = None) -> None:
-        """Charge one attempt; requeue while budget remains, else settle."""
-        st = state[digest]
-        st.attempts += 1
-        st.last_error = exc
-        if st.attempts <= self.engine.retries:
-            self.engine.stats.retries += 1
-            log.warning("[retries] resubmitting %s (%s) attempt %d/%d with "
-                        "a fresh %ss budget after %r", digest[:12],
-                        st.spec.describe(), st.attempts + 1,
-                        self.engine.retries + 1, self.engine.timeout, exc)
-            if requeue is not None:
-                requeue.append(digest)
-            return
-        self.engine.stats.failures += 1
-        status = classify_failure(exc)
-        if self.fail_policy == "abort":
-            self._flush_manifest()
-            raise RunFailure(st.spec, exc) from exc
-        by_digest[digest] = RunOutcome(st.spec, digest, status,
-                                       error=repr(exc), attempts=st.attempts,
-                                       kills=st.kills)
-        log.warning("[campaign] %s", by_digest[digest].describe())
-        if self.manifest is not None:
-            self.manifest.mark_failed(digest, status, repr(exc), st.attempts,
-                                      st.spec.to_dict())
-            self._flush_manifest()
+        backend.execute(todo, self.engine, land=land, fail=fail,
+                        tick=self._check_interrupt, policy=self)
 
     def _quarantine(self, digest: str, st: _SpecState,
                     by_digest: Dict[str, RunOutcome]) -> None:
-        self.engine.stats.failures += 1
-        if self.fail_policy == "abort":
-            self._flush_manifest()
-            raise RunFailure(st.spec, st.last_error)
         by_digest[digest] = RunOutcome(st.spec, digest, QUARANTINED,
                                        error=repr(st.last_error),
                                        attempts=st.attempts, kills=st.kills)
@@ -755,15 +502,34 @@ class Supervisor:
             raise
 
     # ------------------------------------------------------------------ #
-    # pool health: backoff, shedding, rebuild
+    # pool policy: blame, backoff, shedding (hooks of the pool loop)
     # ------------------------------------------------------------------ #
-    def _rebuild_pool(self, dead_pool, max_workers: int):
-        """Backoff (exponential + jitter), shed concurrency, fresh pool."""
-        kill_workers(dead_pool)
+    def retrying(self, digest: str, exc: BaseException) -> None:
+        st = self._state[digest]
+        st.attempts += 1
+        st.last_error = exc
+
+    def solo_kill(self, digest: str, exc: BaseException) -> str:
+        """Count the kill; quarantine at the threshold, else re-run free."""
+        st = self._state[digest]
+        st.kills += 1
+        st.last_error = exc
+        log.warning("[campaign] %s killed its isolated worker (%d/%d)",
+                    digest[:12], st.kills, self.quarantine_threshold)
+        return SETTLE if st.kills >= self.quarantine_threshold else RERUN
+
+    def pool_died(self, victims: List[str], exc: BaseException) -> None:
+        """Backoff (exponential + jitter) and shed concurrency.
+
+        Only a death that no single spec can be blamed for sheds the
+        window: a sole occupant's kill is a quarantine matter, not a
+        sign of too much concurrency.
+        """
         self.pool_deaths += 1
         self._consecutive_deaths += 1
         self._clean_streak = 0
-        if self._consecutive_deaths >= self.halve_after and self.window > 1:
+        if (len(victims) != 1 and self.window > 1
+                and self._consecutive_deaths >= self.halve_after):
             self.window = max(1, self.window // 2)
             self.min_window = min(self.min_window, self.window)
             log.warning("[campaign] %d consecutive pool deaths: admission "
@@ -771,7 +537,10 @@ class Supervisor:
                         self.window)
         self._backoff()
         self.rebuilds += 1
-        return new_pool(max_workers)
+
+    def timeout_killed(self, stuck: List[str]) -> None:
+        self.timeout_kills += 1
+        self.rebuilds += 1
 
     def _backoff(self) -> None:
         exponent = min(max(0, self._consecutive_deaths - 1), 16)
@@ -815,14 +584,12 @@ class Supervisor:
     def _on_signal(self, signum, frame) -> None:
         self._interrupt = signum
 
-    def _check_interrupt(self, pool) -> None:
+    def _check_interrupt(self) -> None:
         """Raise :class:`CampaignInterrupted` after a checkpoint flush."""
         if self._interrupt is None:
             return
         signum, self._interrupt = self._interrupt, None
         self._flush_manifest()
-        if pool is not None:
-            kill_workers(pool)
         raise CampaignInterrupted(
             signum, str(self.manifest.path) if self.manifest else None)
 

@@ -394,12 +394,18 @@ def test_cache_store_same_digest_concurrent_writers(tmp_path):
 # engine: timeout path and worker teardown
 # --------------------------------------------------------------------- #
 def _sleepy_execute(spec):
-    """Pool worker: hangs when the spec says so, else returns quickly."""
+    """Pool worker: hangs, dawdles or kills its own process when the
+    spec says so, else returns quickly."""
+    import os as _os
+    import signal as _signal
     import time as _time
 
     params = dict(spec.workload_params)
+    if params.get("poison"):
+        _os.kill(_os.getpid(), _signal.SIGKILL)
     if params.get("hang"):
         _time.sleep(120)
+    _time.sleep(params.get("slow", 0))
     return f"done:{params['idx']}"
 
 
@@ -429,3 +435,22 @@ def test_timeout_kills_hung_worker_and_keeps_finished_results(tmp_path):
     assert specs[1].digest() in cached
     assert specs[2].digest() in cached
     assert specs[0].digest() not in cached
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_pool_death_blames_the_killer_and_keeps_the_innocent(tmp_path, trial):
+    """A worker killed under two in-flight specs cannot be attributed, so
+    both re-run alone: the failure names the spec that kills its worker,
+    and the innocent slow spec still lands in the cache."""
+    poison = RunSpec(workload="synth", workload_params={"idx": 0,
+                                                        "poison": 1})
+    slow = RunSpec(workload="synth", workload_params={"idx": 1,
+                                                      "slow": 0.5})
+    specs = [poison, slow] if trial % 2 == 0 else [slow, poison]
+    engine = Engine(jobs=2, retries=0, execute_fn=_sleepy_execute,
+                    cache_dir=str(tmp_path))
+    with pytest.raises(RunFailure) as excinfo:
+        engine.run_specs(specs)
+    assert excinfo.value.spec == poison
+    assert engine.stats.failures == 1
+    assert slow.digest() in set(ResultCache(tmp_path).digests())

@@ -4,7 +4,9 @@ poison quarantine, adaptive concurrency, checkpoint/resume, signals."""
 import json
 import os
 import signal
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -19,8 +21,8 @@ from repro.runner import (
 from repro.runner.outcome import (
     DEADLOCK, ERROR, OK, QUARANTINED, SANITIZER,
 )
+from repro.runner.backends import drain_finished, expire_deadlines
 from repro.runner.spec import canonical_json
-from repro.runner.supervisor import _SpecState
 
 SMALL = dict(n_cores=4, scale=0.05)
 
@@ -57,6 +59,8 @@ def chaos_execute(spec):
     elif behavior == "hang_once" and not marker.exists():
         marker.write_text("x")
         time.sleep(120)
+    elif behavior == "slow":
+        time.sleep(1.0)
     elif behavior == "error":
         raise ValueError("synthetic failure")
     elif behavior == "deadlock":
@@ -182,33 +186,30 @@ def test_collect_failed_specs_yield_none_runs(tmp_path, monkeypatch):
 # --------------------------------------------------------------------- #
 # adaptive admission window + backoff
 # --------------------------------------------------------------------- #
-def test_window_halves_on_deaths_and_heals_on_landings(tmp_path):
-    engine = Engine(jobs=4, cache_dir=str(tmp_path / "cache"))
+def test_window_halves_on_deaths_and_heals_on_landings(tmp_path,
+                                                       monkeypatch):
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
+    engine = Engine(jobs=4, execute_fn=chaos_execute,
+                    cache_dir=str(tmp_path / "cache"))
     sup = _fast_supervisor(engine, halve_after=1, heal_after=2)
     assert sup.window == 4
 
-    class _DeadPool:  # just enough surface for Engine._kill_workers
-        def shutdown(self, wait=True, cancel_futures=False):
-            pass
-
-    pool = sup._rebuild_pool(_DeadPool(), max_workers=1)
-    pool.shutdown(wait=False)
+    # the pool loop reports each death to its policy before rebuilding
+    death = BrokenProcessPool("worker died")
+    sup.pool_died(["a", "b"], death)
     assert sup.window == 2
-    pool = sup._rebuild_pool(_DeadPool(), max_workers=1)
-    pool.shutdown(wait=False)
+    sup.pool_died(["a"], death)  # a sole occupant is blamed, not shed for
+    assert sup.window == 2
+    sup.pool_died(["a", "b"], death)
     assert sup.window == 1
     assert sup.min_window == 1
-    assert sup.pool_deaths == 2 and sup.rebuilds == 2
+    assert sup.pool_deaths == 3 and sup.rebuilds == 3
+    assert len(sup.backoff_log) == 3
 
     # two clean landings (heal_after=2) double the window back
-    state, by = {}, {}
-    for seed in range(4):
-        spec = small_spec(seed=seed)
-        state[spec.digest()] = _SpecState(spec)
-    for digest in list(state):
-        sup._land(digest, f"run:{digest[:6]}", state, by)
+    result = sup.run_campaign([chaos_spec("ok", idx) for idx in range(4)])
     assert sup.window == 4  # 1 -> 2 -> 4 over four landings
-    assert all(by[d].status == OK for d in state)
+    assert all(o.status == OK for o in result.outcomes)
 
 
 def test_backoff_schedule_is_deterministic_and_capped():
@@ -405,29 +406,57 @@ class _StubFuture:
 
 
 def test_interrupt_during_suspect_phase_propagates(tmp_path, monkeypatch):
-    """CampaignInterrupted (a RuntimeError) raised while waiting on a
-    solo run must abort the campaign, not be misfiled as the suspect
-    spec's 'error' failure."""
+    """CampaignInterrupted (a RuntimeError) raised while pool-death
+    victims await their solo re-runs must abort the campaign, not be
+    misfiled as a suspect spec's 'error' failure."""
     monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
     engine = Engine(jobs=2, retries=0, execute_fn=chaos_execute)
     sup = _fast_supervisor(engine, manifest_path=tmp_path / "m.json")
 
-    def interrupted_solo(self, future, pool):
-        raise CampaignInterrupted(signal.SIGTERM, str(tmp_path / "m.json"))
+    def signal_during_backoff(delay):
+        sup._interrupt = signal.SIGTERM
 
-    monkeypatch.setattr(Supervisor, "_solo_result", interrupted_solo)
-    spec = chaos_spec("ok", 0)
-    digest = spec.digest()
-    by_digest = {}
+    sup.sleep_fn = signal_during_backoff  # runs right after the pool death
+    specs = [chaos_spec("poison"), chaos_spec("slow", 0)]
     with pytest.raises(CampaignInterrupted):
-        sup._suspect_phase({digest: spec}, {digest: _SpecState(spec)},
-                           [digest], by_digest)
-    assert by_digest == {}             # no bogus failure outcome
+        sup.run_campaign(specs)
+    assert sup.pool_deaths == 1
+    assert sup.outcomes == []          # no bogus failure outcome
     assert engine.stats.failures == 0  # no retry budget charged
+    assert engine.stats.retries == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert sorted(manifest["pending"]) == sorted(s.digest() for s in specs)
+
+
+def test_interrupt_reaches_a_hung_pool_run_without_timeout(tmp_path,
+                                                           monkeypatch):
+    """With no engine timeout the pool loop still polls ``tick``: an
+    interrupt during a hung run raises promptly with the manifest
+    flushed, and the hung worker is killed."""
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
+    engine = Engine(backend="process-pool", execute_fn=chaos_execute)
+    sup = _fast_supervisor(engine, manifest_path=tmp_path / "m.json")
+    spec = chaos_spec("hang_once")
+    interrupted_at = []
+
+    def interrupt():
+        interrupted_at.append(time.monotonic())
+        sup._interrupt = signal.SIGTERM
+
+    timer = threading.Timer(0.5, interrupt)
+    timer.start()
+    try:
+        with pytest.raises(CampaignInterrupted):
+            sup.run_campaign([spec])
+    finally:
+        timer.cancel()
+    assert time.monotonic() - interrupted_at[0] < 1.0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    assert manifest["pending"] == [spec.digest()]
 
 
 def test_pool_death_does_not_discard_finished_sibling():
-    """_drain_finished lands completed-successful futures; only truly
+    """drain_finished lands completed-successful futures; only truly
     lost specs are charged as victims/suspects."""
     landed = {}
     finished = _StubFuture(result="run-a")
@@ -435,21 +464,17 @@ def test_pool_death_does_not_discard_finished_sibling():
     errored = _StubFuture(exc=ValueError("boom"))
     inflight = {finished: "a", pending: "b", errored: "c"}
     deadlines = {finished: None, pending: None, errored: None}
-    victims = Engine._drain_finished(inflight, deadlines,
-                                     lambda d, r: landed.__setitem__(d, r))
+    victims = drain_finished(inflight, deadlines,
+                             lambda d, r: landed.__setitem__(d, r))
     assert landed == {"a": "run-a"}
     assert sorted(victims) == ["b", "c"]
     assert inflight == {} and deadlines == {}
 
 
-def test_deadline_cancel_race_leaves_completed_future_in_flight(tmp_path):
+def test_deadline_cancel_race_leaves_completed_future_in_flight():
     """A future that completes between the done() check and cancel()
     must not be classified stuck (which would SIGKILL the pool and
     discard its result); it stays in flight for the next wait()."""
-    from collections import deque
-
-    engine = Engine(jobs=2, timeout=0.01, cache_dir=str(tmp_path / "cache"))
-    sup = _fast_supervisor(engine)
 
     class _RacyFuture(_StubFuture):
         def __init__(self):
@@ -460,19 +485,21 @@ def test_deadline_cancel_race_leaves_completed_future_in_flight(tmp_path):
             self.done_calls += 1
             return self.done_calls > 1  # completes right after the check
 
-    future = _RacyFuture()
-    spec = small_spec()
-    digest = spec.digest()
-    inflight = {future: digest}
-    deadlines = {future: time.monotonic() - 1.0}
-    by_digest = {}
-    pool = object()  # must come back untouched: no kill, no rebuild
-    out_pool = sup._enforce_deadlines(pool, 2, deque(), inflight, deadlines,
-                                      {digest: _SpecState(spec)}, by_digest)
-    assert out_pool is pool       # pool not killed or rebuilt
-    assert future in inflight     # collected by the next wait()
-    assert by_digest == {}        # no timeout charged
-    assert sup.timeout_kills == 0
+    class _QueuedFuture(_StubFuture):
+        def cancel(self):
+            return True  # never started: cancellable, worker unharmed
+
+    racy = _RacyFuture()
+    queued = _QueuedFuture(done=False)
+    running = _StubFuture(done=False)
+    past = time.monotonic() - 1.0
+    inflight = {racy: "racy", queued: "queued", running: "running"}
+    deadlines = dict.fromkeys(inflight, past)
+    expired, stuck = expire_deadlines(inflight, deadlines, time.monotonic())
+    assert stuck == ["running"]   # only a running worker forces a kill
+    assert sorted(expired) == ["queued", "running"]  # racy not charged
+    assert racy in inflight and racy in deadlines    # collected next wait()
+    assert list(inflight) == [racy]
 
 
 def test_cli_collect_campaign_smoke(capsys, tmp_path, monkeypatch):
@@ -521,10 +548,9 @@ def test_supervisor_delegates_to_explicit_inline_backend(tmp_path):
     calls = []
 
     class SpyBackend(InlineBackend):
-        def execute(self, todo, engine, *, land=None, fail=None, tick=None):
+        def execute(self, todo, engine, **hooks):
             calls.append(len(todo))
-            return super().execute(todo, engine, land=land, fail=fail,
-                                   tick=tick)
+            return super().execute(todo, engine, **hooks)
 
     engine = Engine(backend=SpyBackend())
     supervisor = Supervisor(engine, fail_policy="collect")
