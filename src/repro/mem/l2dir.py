@@ -19,14 +19,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, Optional, Set
 
 from repro.mem import protocol as P
 from repro.mem import cache
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Signal, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.stats import CounterSet
 
 __all__ = ["L2DirectorySlice", "DIR_LATENCY"]
@@ -45,11 +45,17 @@ class DirEntry:
     sharers: Set[int] = field(default_factory=set)
     busy: bool = False
     queue: Deque[Message] = field(default_factory=deque)
-    owner_wait: Optional[Signal] = None  # forward response in flight
+    # the transaction in flight (meaningful while ``busy``)
+    kind: str = ""
+    requester: int = -1
+    fwd_owner: int = -1                  # owner the request was forwarded to
+    was_sharer: bool = False             # Upgrade from a still-listed sharer
+    # parked continuations, resumed by the matching message handler
+    owner_wait: Optional[Callable] = None  # forward response in flight
     pending_acks: int = 0
-    ack_wait: Optional[Signal] = None
-    unblock_wait: Optional[Signal] = None  # requester unblock in flight
-    unblock_pending: bool = False          # unblock arrived early
+    ack_wait: Optional[Callable] = None
+    unblock_wait: Optional[Callable] = None  # requester unblock in flight
+    unblock_pending: bool = False            # unblock arrived early
 
     @property
     def held_by_l1(self) -> bool:
@@ -78,6 +84,7 @@ class L2DirectorySlice:
         # fused make_msg+send entry point, resolved once (bound C method
         # when the compiled mesh core is active)
         self._send_proto = mesh.send_proto
+        self._schedule = sim.schedule
         # hot counters, resolved once (bumped on every home transaction)
         self._c_accesses = counters.bind("l2.accesses")
         self._c_data_accesses = counters.bind("l2.data_accesses")
@@ -130,43 +137,37 @@ class L2DirectorySlice:
     def _on_request(self, msg: Message) -> None:
         """GetS / GetM / Upgrade: start or queue a transaction."""
         line = msg.payload["line"]
-        # the ``self._entry`` probe is inlined in every per-kind handler:
-        # these run once per delivered home-bound message
-        entry = self._dir.get(line)
-        if entry is None:
-            entry = self._dir[line] = DirEntry()
+        # every per-kind handler probes ``_dir`` inline and calls
+        # ``_entry`` only on a miss: these run once per home-bound message
+        entry = self._dir.get(line) or self._entry(line)
         if entry.busy:
             entry.queue.append(msg)
         else:
             self._start(line, entry, msg)
 
     def _on_inv_ack(self, msg: Message) -> None:
-        entry = self._dir.get(msg.payload["line"])
-        if entry is None:
-            entry = self._dir[msg.payload["line"]] = DirEntry()
+        line = msg.payload["line"]
+        entry = self._dir.get(line) or self._entry(line)
         entry.pending_acks -= 1
         if entry.pending_acks == 0 and entry.ack_wait is not None:
-            sig, entry.ack_wait = entry.ack_wait, None
-            sig.fire()
+            cont, entry.ack_wait = entry.ack_wait, None
+            self._schedule(0, cont, line, entry)
 
     def _on_unblock(self, msg: Message) -> None:
-        entry = self._dir.get(msg.payload["line"])
-        if entry is None:
-            entry = self._dir[msg.payload["line"]] = DirEntry()
+        line = msg.payload["line"]
+        entry = self._dir.get(line) or self._entry(line)
         if entry.unblock_wait is not None:
-            sig, entry.unblock_wait = entry.unblock_wait, None
-            sig.fire()
+            cont, entry.unblock_wait = entry.unblock_wait, None
+            self._schedule(0, cont, line, entry)
         else:
             entry.unblock_pending = True
 
     def _on_recall(self, msg: Message) -> None:
         line = msg.payload["line"]
-        entry = self._dir.get(line)
-        if entry is None:
-            entry = self._dir[line] = DirEntry()
+        entry = self._dir.get(line) or self._entry(line)
         if entry.owner_wait is not None:
-            sig, entry.owner_wait = entry.owner_wait, None
-            sig.fire(msg)
+            cont, entry.owner_wait = entry.owner_wait, None
+            self._schedule(0, cont, line, entry, msg)
         # else: stale ack from an owner whose eviction notice already
         # completed the recall -- drop (must be an absent-ack)
         elif not (msg.kind == P.RECALL_ACK
@@ -178,51 +179,109 @@ class L2DirectorySlice:
     def _on_owner_notice(self, msg: Message) -> None:
         """WBData / EvictClean from the current owner."""
         line = msg.payload["line"]
-        entry = self._dir.get(line)
-        if entry is None:
-            entry = self._dir[line] = DirEntry()
+        entry = self._dir.get(line) or self._entry(line)
         if msg.kind == P.WB_DATA and self.tags.lookup(line) is not None:
             self.tags.set_state(line, DIRTY)
         if entry.owner == msg.src:
             entry.owner = None
         if entry.owner_wait is not None:
-            sig, entry.owner_wait = entry.owner_wait, None
-            sig.fire(msg)
+            cont, entry.owner_wait = entry.owner_wait, None
+            self._schedule(0, cont, line, entry, msg)
 
     # ------------------------------------------------------------------ #
     # transaction engine
     # ------------------------------------------------------------------ #
+    # A transaction is a chain of callbacks over its DirEntry: each step
+    # schedules the next after a latency, or parks it in a ``*_wait`` field
+    # for the matching message handler above to resume at zero delay.
     def _start(self, line: int, entry: DirEntry, msg: Message) -> None:
         entry.busy = True
-        if msg.kind == P.GETS:
-            gen = self._do_gets(line, entry, msg.src)
-        else:
-            gen = self._do_getm(line, entry, msg.src,
-                                is_upgrade=msg.kind == P.UPGRADE)
-        self.sim.spawn(gen, name=f"home{self.tile_id}-{msg.kind}-{line:#x}")
+        self._schedule(0, self._begin, line, entry, msg.kind, msg.src)
 
     def _finish(self, line: int, entry: DirEntry) -> None:
         entry.busy = False
         if entry.queue:
             self._start(line, entry, entry.queue.popleft())
 
-    def _do_gets(self, line: int, entry: DirEntry, requester: int):
+    def _begin(self, line: int, entry: DirEntry, kind: str,
+               requester: int) -> None:
         self._c_accesses.value += 1
-        if entry.owner == requester:
+        owner = entry.owner
+        if owner == requester:
             raise RuntimeError(
-                f"home {self.tile_id}: GetS from current owner {requester}"
+                f"home {self.tile_id}: {'GetS' if kind == P.GETS else 'GetM'}"
+                f" from current owner {requester}"
             )
-        if entry.owner is not None:
-            served = yield from self._forward(line, entry, requester,
-                                              P.FWD_GETS)
-            if served:
-                # the old owner transferred the data cache-to-cache and
-                # stayed a sharer; wait for the requester's unblock
-                entry.sharers.add(requester)
-                yield from self._await_unblock(line, entry)
-                self._finish(line, entry)
-                return
-        yield from self._l2_data(line)
+        entry.kind = kind
+        entry.requester = requester
+        if owner is None:
+            self._serve(line, entry)
+            return
+        # forward to the E/M owner for a cache-to-cache serve
+        entry.fwd_owner = owner
+        entry.owner_wait = self._forwarded
+        self._send(owner, P.FWD_GETS if kind == P.GETS else P.FWD_GETM,
+                   line, {"requester": requester})
+
+    def _forwarded(self, line: int, entry: DirEntry, resp: Message) -> None:
+        """The owner's forward response (or crossing eviction notice): after
+        a cache-to-cache serve wait for the requester's unblock, otherwise
+        serve the requester from the home's own copy."""
+        self._c_forwards.value += 1
+        if resp.kind in (P.WB_DATA, P.RECALL_DATA):
+            if self.tags.lookup(line) is not None:
+                self.tags.set_state(line, DIRTY)
+        still_present = (
+            resp.kind == P.RECALL_DATA
+            or (resp.kind == P.RECALL_ACK and resp.payload["extra"]["present"])
+        )
+        gets = entry.kind == P.GETS
+        if gets and still_present:
+            entry.sharers.add(entry.fwd_owner)
+        entry.owner = None
+        if not still_present:
+            self._serve(line, entry)
+            return
+        if gets:
+            entry.sharers.add(entry.requester)
+        else:
+            entry.owner = entry.requester
+        if entry.unblock_pending:
+            entry.unblock_pending = False
+            self._finish(line, entry)
+        else:
+            entry.unblock_wait = self._finish
+
+    def _serve(self, line: int, entry: DirEntry) -> None:
+        """Serve the request from the home (no owner, or it had evicted)."""
+        if entry.kind == P.GETS:
+            self._l2_data(line, entry, self._reply_gets)
+            return
+        # a plain GetM from a listed sharer means that sharer evicted its S
+        # copy silently -- the dataless GrantM is only safe for an Upgrade
+        # whose copy is still valid (still listed => never invalidated since)
+        requester = entry.requester
+        sharers = entry.sharers
+        entry.was_sharer = entry.kind == P.UPGRADE and requester in sharers
+        to_invalidate = (sharers - {requester}) if sharers else ()
+        if not to_invalidate:
+            self._invalidated(line, entry)
+            return
+        self.counters.add("l2.invalidations", len(to_invalidate))
+        entry.pending_acks = len(to_invalidate)
+        entry.ack_wait = self._invalidated
+        for sharer in sorted(to_invalidate):
+            self._send(sharer, P.INV, line)
+
+    def _invalidated(self, line: int, entry: DirEntry) -> None:
+        entry.sharers.clear()
+        if entry.was_sharer:                  # dir-state-only upgrade
+            self._schedule(DIR_LATENCY, self._reply_getm, line, entry)
+        else:
+            self._l2_data(line, entry, self._reply_getm)
+
+    def _reply_gets(self, line: int, entry: DirEntry) -> None:
+        requester = entry.requester
         if (entry.owner is None and not entry.sharers
                 and self.config.coherence == "mesi"):
             entry.owner = requester          # grant E (exclusive clean)
@@ -232,89 +291,27 @@ class L2DirectorySlice:
             self._send(requester, P.DATA, line)
         self._finish(line, entry)
 
-    def _do_getm(self, line: int, entry: DirEntry, requester: int,
-                 is_upgrade: bool = False):
-        self._c_accesses.value += 1
-        if entry.owner == requester:
-            raise RuntimeError(
-                f"home {self.tile_id}: GetM from current owner {requester}"
-            )
-        if entry.owner is not None:
-            served = yield from self._forward(line, entry, requester,
-                                              P.FWD_GETM)
-            if served:
-                entry.owner = requester
-                yield from self._await_unblock(line, entry)
-                self._finish(line, entry)
-                return
-        # a plain GetM from a listed sharer means that sharer evicted its S
-        # copy silently -- the dataless GrantM is only safe for an Upgrade
-        # whose copy is still valid (still listed => never invalidated since)
-        sharers = entry.sharers
-        was_sharer = is_upgrade and requester in sharers
-        to_invalidate = (sharers - {requester}) if sharers else ()
-        if to_invalidate:
-            self.counters.add("l2.invalidations", len(to_invalidate))
-            entry.pending_acks = len(to_invalidate)
-            entry.ack_wait = self.sim.signal(f"acks-{line:#x}")
-            for sharer in sorted(to_invalidate):
-                self._send(sharer, P.INV, line)
-            yield entry.ack_wait
-        entry.sharers.clear()
-        if was_sharer:
-            yield DIR_LATENCY                 # dir-state-only upgrade
-            self._send(requester, P.GRANT_M, line)
-        else:
-            yield from self._l2_data(line)
-            self._send(requester, P.DATA_M, line)
-        entry.owner = requester
+    def _reply_getm(self, line: int, entry: DirEntry) -> None:
+        self._send(entry.requester,
+                   P.GRANT_M if entry.was_sharer else P.DATA_M, line)
+        entry.owner = entry.requester
         self._finish(line, entry)
 
-    def _forward(self, line: int, entry: DirEntry, requester: int,
-                 fwd_kind: str):
-        """Forward the request to the E/M owner for a cache-to-cache serve.
-
-        Returns True if the owner transferred the data directly to the
-        requester (dir state for the old owner is updated here); False if
-        the owner had already evicted, in which case the caller serves the
-        requester from the home's own copy.
-        """
-        owner = entry.owner
-        entry.owner_wait = self.sim.signal(f"fwd-{line:#x}")
-        self._send(owner, fwd_kind, line, {"requester": requester})
-        resp: Message = yield entry.owner_wait
-        self._c_forwards.value += 1
-        if resp.kind in (P.WB_DATA, P.RECALL_DATA):
-            if self.tags.lookup(line) is not None:
-                self.tags.set_state(line, DIRTY)
-        still_present = (
-            resp.kind == P.RECALL_DATA
-            or (resp.kind == P.RECALL_ACK and resp.payload["extra"]["present"])
-        )
-        if fwd_kind == P.FWD_GETS and still_present:
-            entry.sharers.add(owner)
-        entry.owner = None
-        return still_present
-
-    def _await_unblock(self, line: int, entry: DirEntry):
-        """Wait for the requester's UNBLOCK after a cache-to-cache serve."""
-        if entry.unblock_pending:
-            entry.unblock_pending = False
-            return
-        entry.unblock_wait = self.sim.signal(f"unblock-{line:#x}")
-        yield entry.unblock_wait
-
-    def _l2_data(self, line: int):
-        """Access the L2 data array, fetching from memory on a miss."""
+    def _l2_data(self, line: int, entry: DirEntry, then: Callable) -> None:
+        """Access the L2 data array, fetching from memory on a miss, then
+        continue with ``then(line, entry)``."""
         if self.tags.lookup(line) is not None:
             self.tags.touch(line)
             self._c_data_accesses.value += 1
-            yield self.config.l2.latency
+            self._schedule(self.config.l2.latency, then, line, entry)
             return
         # L2 miss -> memory
         self.counters.add("l2.misses")
         self.counters.add("mem.reads")
-        yield self.config.l2.latency + self.config.memory_latency
+        self._schedule(self.config.l2.latency + self.config.memory_latency,
+                       self._l2_fill, line, entry, then)
+
+    def _l2_fill(self, line: int, entry: DirEntry, then: Callable) -> None:
         victim = self.tags.insert(
             line, CLEAN,
             may_evict=lambda cand: not self._entry(cand).held_by_l1,
@@ -325,6 +322,7 @@ class L2DirectorySlice:
             if victim_state == DIRTY:
                 self.counters.add("mem.writes")
             self._dir.pop(victim_line, None)
+        then(line, entry)
 
     # ------------------------------------------------------------------ #
     # introspection

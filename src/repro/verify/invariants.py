@@ -17,8 +17,9 @@ event:
 At drain (:meth:`at_drain`, called by ``Machine.run`` once all thread
 programs finished) it additionally checks that no process is left
 suspended on a :class:`~repro.sim.kernel.Signal` that can no longer fire
-("orphaned waiter") and that every device's token parked back at its
-primary manager.
+("orphaned waiter"), that no directory transaction is left busy or parked
+on a message that can no longer arrive, and that every device's token
+parked back at its primary manager.
 
 Enable it with ``repro-sim run --sanitize ...``, ``pytest --sanitize``,
 or directly::
@@ -166,6 +167,19 @@ class InvariantSanitizer:
                     "orphaned Signal waiters at drain (a process is "
                     "suspended on a signal that will never fire): "
                     f"{sorted(orphans)}")
+            # directory transactions are callback chains, not processes:
+            # with no event left, a busy or parked entry can never finish
+            stuck_lines = [
+                f"home {home.tile_id} line {line:#x}"
+                for home in self.machine.mem.l2s
+                for line, entry in home._dir.items()
+                if entry.busy or entry.owner_wait or entry.ack_wait
+                or entry.unblock_wait]
+            if stuck_lines:
+                raise InvariantViolation(
+                    "stuck directory transactions at drain (busy or "
+                    "waiting on a message that will never arrive): "
+                    f"{stuck_lines}")
         if procs is not None:
             stuck = [p.name for p in procs if not p.finished]
             if stuck:

@@ -1,0 +1,122 @@
+"""Directory transaction engine: pinned rare paths and a no-Process guard.
+
+The Table II chip's 256 KiB L2 and 32 KiB L1 keep the rest of tier-1 on
+the directory's early-UNBLOCK path.  Shrinking both caches to 1 KiB
+two-way on 16 cores also reaches the other three:
+
+- a forward the owner could not serve (it had evicted first);
+- a stale ``RecallAck`` dropped after the eviction notice completed the
+  recall;
+- L2 capacity evictions (``may_evict``, the directory entry dropped,
+  dirty victims written back).
+
+The fingerprints below were recorded with the generator-based directory
+engine, before transactions became callback continuations, and must hold
+byte-for-byte under both kernel backends.
+"""
+
+import pytest
+
+from repro.machine import Machine
+from repro.mem import protocol as P
+from repro.mem.l2dir import L2DirectorySlice
+from repro.runner.engine import execute_spec
+from repro.runner.fingerprint import result_fingerprint
+from repro.runner.spec import MachineSpec, RunSpec
+from repro.sim import kernel
+from repro.sim.config import CacheConfig, CMPConfig
+from repro.sim.profile import profiling
+from repro.workloads.registry import make_workload
+
+SMALL_CACHES = CMPConfig(n_cores=16, l1=CacheConfig(1024, 2, 64, 2),
+                         l2=CacheConfig(1024, 2, 64, 12))
+
+#: (workload, hc_kind) -> (makespan, l2.evictions, result fingerprint)
+PINS = {
+    ("raytr", "mcs"): (
+        90635, 901,
+        "505a2a19fba62f71d19e31c621ff8da0786dd7d3e246dcab69200ccbc58fe5b0"),
+    ("qsort", "tatas"): (
+        734632, 2834,
+        "9ffbdd7775f8dbf785faa7268b0a57a8a01c37169a303aeb78ae1a2bed10a81e"),
+    ("dbll", "glock"): (
+        187245, 256,
+        "17fd9a5b3477b73a1531393eb16e5625877782cf5bb96a7b429c92b10a230d05"),
+}
+
+
+def _pin_spec(workload, hc_kind):
+    return RunSpec(workload=workload, hc_kind=hc_kind, scale=0.3,
+                   machine=MachineSpec(config=SMALL_CACHES))
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request):
+    if request.param not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    prev = kernel.active_backend()
+    kernel.set_backend(request.param)
+    yield request.param
+    kernel.set_backend(prev)
+
+
+@pytest.mark.parametrize("key", list(PINS), ids=lambda k: "-".join(k))
+def test_small_cache_fingerprints_pinned(backend, key):
+    makespan, evictions, fingerprint = PINS[key]
+    run = execute_spec(_pin_spec(*key))
+    assert run.result.makespan == makespan
+    assert run.result.counters["l2.evictions"] == evictions
+    assert result_fingerprint(run.result) == fingerprint, \
+        f"{backend} backend diverged from the pinned directory behaviour"
+
+
+def test_pinned_spec_reaches_the_rare_paths(monkeypatch):
+    """The raytr pin really exercises every path listed above."""
+    hits = {"not_served": 0, "stale_drop": 0, "early_unblock": 0}
+    forwarded = L2DirectorySlice._forwarded
+    on_recall = L2DirectorySlice._on_recall
+    on_unblock = L2DirectorySlice._on_unblock
+
+    def spy_forwarded(self, line, entry, resp):
+        if not (resp.kind == P.RECALL_DATA or (
+                resp.kind == P.RECALL_ACK
+                and resp.payload["extra"]["present"])):
+            hits["not_served"] += 1
+        forwarded(self, line, entry, resp)
+
+    def spy_recall(self, msg):
+        entry = self._dir.get(msg.payload["line"])
+        if entry is None or entry.owner_wait is None:
+            hits["stale_drop"] += 1
+        on_recall(self, msg)
+
+    def spy_unblock(self, msg):
+        entry = self._dir.get(msg.payload["line"])
+        if entry is None or entry.unblock_wait is None:
+            hits["early_unblock"] += 1
+        on_unblock(self, msg)
+
+    # patched before the Machine is built: route tables bind handlers
+    monkeypatch.setattr(L2DirectorySlice, "_forwarded", spy_forwarded)
+    monkeypatch.setattr(L2DirectorySlice, "_on_recall", spy_recall)
+    monkeypatch.setattr(L2DirectorySlice, "_on_unblock", spy_unblock)
+    run = execute_spec(_pin_spec("raytr", "mcs"))
+    assert all(hits.values()), hits
+    assert run.result.counters["l2.evictions"] > 0
+    assert run.result.counters["mem.writes"] > 0
+
+
+def test_directory_spawns_no_processes(backend):
+    """Home transactions run as L2DirectorySlice callbacks: a contended
+    run attributes no event to a ``process:home*`` component."""
+    n_cores = 16
+    with profiling() as prof:
+        machine = Machine(CMPConfig.baseline(n_cores))
+        instance = make_workload("sctr", scale=0.25).instantiate(
+            machine, hc_kind="tatas", other_kind="tatas")
+        machine.run(instance.programs)
+    report = prof.report()
+    assert not [name for name in report if name.startswith("process:home")]
+    assert report["L2DirectorySlice"]["events"] > 0
+    if backend == "pure":
+        assert len(machine.sim._processes) == n_cores

@@ -174,6 +174,35 @@ def test_drain_ignores_abandoned_callback_waiters():
     sanitizer.at_drain()   # must not raise
 
 
+@pytest.mark.parametrize("field", ["busy", "owner_wait", "ack_wait",
+                                   "unblock_wait"])
+def test_drain_flags_stuck_directory_transaction(field):
+    """A directory transaction busy or parked on a message, with no event
+    left that could deliver it, can never finish."""
+    machine = Machine(CMPConfig.baseline(4))
+    sanitizer = fresh_sanitizer(machine)
+    home = machine.mem.l2s[1]
+    entry = home.dir_state(0x1f40)
+    setattr(entry, field, True if field == "busy" else home._finish)
+    assert machine.sim.pending_events == 0
+    with pytest.raises(InvariantViolation,
+                       match=r"stuck directory.*home 1 line 0x1f40"):
+        sanitizer.at_drain()
+
+
+def test_drain_ignores_directory_transaction_with_events_pending():
+    """While events remain the transaction may still be resumed (phase
+    end abandons it mid-flight, see run_until_processes_finish)."""
+    machine = Machine(CMPConfig.baseline(4))
+    sanitizer = fresh_sanitizer(machine)
+    home = machine.mem.l2s[0]
+    entry = home.dir_state(0x40)
+    entry.busy = True
+    entry.unblock_wait = home._finish
+    machine.sim.schedule(10, lambda: None)
+    sanitizer.at_drain()   # must not raise
+
+
 def test_drain_flags_unfinished_process():
     machine = Machine(CMPConfig.baseline(4))
     sanitizer = fresh_sanitizer(machine)
