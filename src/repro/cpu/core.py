@@ -69,13 +69,14 @@ class ThreadContext:
         #: accesses and synchronization; passed in by Machine.context()
         self.races = races
         self._cat_stack: List[str] = []
-        # hot-path shortcuts into the L1: load/store/rmw run the plain
-        # try_hit fast path and yield the hit latency themselves, so a
-        # cache hit costs no extra generator frame at all; only misses
-        # enter the L1's transaction coroutine
+        # hot-path shortcuts into the L1: load/store/rmw inline the L1
+        # access sequence (try_hit; on a miss _request, yield the fill
+        # signal, _complete; then yield the hit latency), so no access
+        # costs an extra generator frame
         l1 = core.l1
         self._l1_try_hit = l1.try_hit
-        self._l1_miss = l1._miss
+        self._l1_request = l1._request
+        self._l1_complete = l1._complete
         self._l1_hit_latency = l1.hit_latency
         self._l1_mask = l1._line_mask
         self._l1_c_rmw = l1._c_rmw
@@ -123,9 +124,9 @@ class ThreadContext:
         line = addr & self._l1_mask
         value = self._l1_try_hit(line, False, addr, None, None)
         if value is MISS:
-            value = yield from self._l1_miss(line, False, addr, None, None)
-        else:
-            yield self._l1_hit_latency
+            yield self._l1_request(line, False)
+            value = self._l1_complete(addr, False, None, None)
+        yield self._l1_hit_latency
         self.core.instructions += 1
         self._attribute(MEMORY, self.sim.now - t0)
         # workload-level accesses only: loads issued inside a lock/barrier
@@ -139,9 +140,9 @@ class ThreadContext:
         t0 = self.sim.now
         line = addr & self._l1_mask
         if self._l1_try_hit(line, True, addr, value, None) is MISS:
-            yield from self._l1_miss(line, True, addr, value, None)
-        else:
-            yield self._l1_hit_latency
+            yield self._l1_request(line, True)
+            self._l1_complete(addr, True, value, None)
+        yield self._l1_hit_latency
         self.core.instructions += 1
         self._attribute(MEMORY, self.sim.now - t0)
         if self.races is not None and not self._cat_stack:
@@ -153,9 +154,9 @@ class ThreadContext:
         line = addr & self._l1_mask
         old = self._l1_try_hit(line, True, addr, None, fn)
         if old is MISS:
-            old = yield from self._l1_miss(line, True, addr, None, fn)
-        else:
-            yield self._l1_hit_latency
+            yield self._l1_request(line, True)
+            old = self._l1_complete(addr, True, None, fn)
+        yield self._l1_hit_latency
         self._l1_c_rmw.value += 1
         self.core.instructions += 1
         self._attribute(MEMORY, self.sim.now - t0)

@@ -43,8 +43,8 @@ class TagArray:
 
     def set_state(self, line_addr: int, state: object) -> None:
         """Update the state of a resident line (keeps LRU position)."""
-        s = self._sets[self._set_index(line_addr)]
-        if line_addr not in s:
+        s = self._sets.get(self._set_index(line_addr))
+        if s is None or line_addr not in s:
             raise KeyError(f"line {line_addr:#x} not resident")
         s[line_addr] = state
 

@@ -1,9 +1,9 @@
 """Wiring of the full memory system: mesh + per-tile L1 and L2/directory.
 
 :class:`MemorySystem` is the substrate object workloads and lock algorithms
-talk to.  Each tile registers a single dispatcher with the mesh that routes
-home-bound protocol messages to the tile's L2/directory slice and the rest
-to its L1 (see :mod:`repro.mem.protocol` for the kind sets).
+talk to.  Each tile registers a kind -> handler route table with the mesh
+that sends home-bound protocol messages to the tile's L2/directory slice
+and the rest to its L1 (see :mod:`repro.mem.protocol` for the kind sets).
 
 The memory controller is folded into the L2 slice: an L2 miss pays the
 fixed 400-cycle DRAM latency and bumps ``mem.reads``/``mem.writes`` counters
@@ -19,7 +19,6 @@ from repro.mem.address import AddressSpace
 from repro.mem.backing import BackingStore
 from repro.mem.l1 import L1Cache
 from repro.mem.l2dir import L2DirectorySlice
-from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
 from repro.sim.kernel import Simulator
@@ -46,26 +45,13 @@ class MemorySystem:
             L2DirectorySlice(sim, config, i, self.mesh, self.counters)
             for i in range(config.n_cores)
         ]
+        # one kind -> per-kind handler table per tile: the mesh delivers
+        # each message straight into the specific protocol action, with
+        # no dispatcher frame and no kind-test chain
         for tile in range(config.n_cores):
-            dispatch, route = self._make_dispatcher(tile)
-            self.mesh.register(tile, dispatch, route=route)
-
-    def _make_dispatcher(self, tile: int):
-        # kind -> bound per-kind handler, resolved once per tile: routing
-        # a message is then a single dict probe straight into the specific
-        # protocol action, with no kind-test chain.  The table is also
-        # handed to the mesh so the compiled core can deliver without
-        # this Python frame.
-        route = dict(self.l2s[tile].route_table())
-        route.update(self.l1s[tile].route_table())
-
-        def dispatch(msg: Message) -> None:
-            handler = route.get(msg.kind)
-            if handler is None:
-                raise RuntimeError(f"tile {tile}: unroutable message {msg!r}")
-            handler(msg)
-
-        return dispatch, route
+            route = dict(self.l2s[tile].route_table())
+            route.update(self.l1s[tile].route_table())
+            self.mesh.register(tile, route)
 
     # ------------------------------------------------------------------ #
     # initialization helpers

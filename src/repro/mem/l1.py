@@ -1,9 +1,22 @@
 """Private L1 data-cache controller (MESI).
 
 The L1 exposes coroutine methods (``load`` / ``store`` / ``rmw`` /
-``spin_until``) that the core's thread program drives with ``yield from``,
-and a :meth:`handle` callback the mesh invokes for incoming protocol
-messages (data grants, invalidations, recalls).
+``spin_until``) that a thread program drives with ``yield from``, and
+per-kind handlers the tile's mesh route table delivers incoming protocol
+messages to (data grants, invalidations, forwards; :meth:`handle` is the
+catch-all entry point).  An access is three plain calls and at most two
+yields: :meth:`try_hit` applies a hit outright; a miss sends its
+directory request with :meth:`_request`, yields the fill signal, applies
+the access with :meth:`_complete`, and every access ends by yielding the
+hit latency.  The core's :class:`~repro.cpu.core.ThreadContext` inlines
+that sequence, so no generator frame is spent on the L1.
+
+With the compiled kernel (compiled simulator and tag array), one C
+``L1Hit`` object per L1 carries the whole controller: the instance binds
+``try_hit``, ``_request``, ``_complete``, ``_on_fill``, ``_on_inv`` and
+``_handle_forward`` to it, so misses, fills, evictions, invalidations,
+forwards and spin-watch wakeups run with no Python frame.  The methods
+below are the pure fallback and the behavioural reference.
 
 Linearization rule (see DESIGN.md): a memory operation's *value effect* is
 applied to the global backing store at the instant the L1 gains sufficient
@@ -80,9 +93,9 @@ class L1Cache:
         # fused make_msg+send entry point, resolved once (bound C method
         # when the compiled mesh core is active)
         self._send_proto = mesh.send_proto
-        # the line of the outstanding transaction, if any; its reply is
-        # always delivered through the (reused) _fill_sig because in-order
-        # cores have exactly one op in flight
+        # the line of the outstanding miss, if any (pure controller only);
+        # its reply is always delivered through the (reused) _fill_sig
+        # because in-order cores have exactly one op in flight
         self._pending: Optional[int] = None
         self._fill_sig = sim.signal(f"l1-{core_id}-fill")
         # line -> watch signal for spin_until sleepers; signals persist
@@ -93,17 +106,26 @@ class L1Cache:
         self._c_misses = counters.bind("l1.misses")
         self._c_rmw = counters.bind("l1.rmw")
         self._c_spin_cycles = counters.bind("l1.spin_cycles")
-        # compiled fast path: when both the tag array and the simulator
-        # come from the compiled backend, the whole try_hit body (tag
-        # probe, E->M upgrade, LRU touch, backing-store word op, access
-        # counter) runs as one C call; the instance attribute shadows
-        # the method for every caller that binds self.try_hit
+        # compiled controller: when both the tag array and the simulator
+        # come from the compiled backend, one C object owns the tags'
+        # protocol state, the pending miss and the message handlers.  It
+        # shares the fill signal and the watch map with spin_until, and
+        # its bound methods shadow the pure ones below for every caller,
+        # the route table included.
         impl = compiled_impl()
         if (impl is not None and type(sim) is impl.Simulator
                 and type(self.tags) is impl.TagArray):
-            self.try_hit = impl.L1Hit(
-                self.tags, backing._words, self._c_accesses,
-                MISS, M, E, WORD_BYTES).try_hit
+            ctl = impl.L1Hit(
+                self.tags, backing._words, counters, self._c_accesses,
+                self._c_misses, mesh._core, config.noc, self._fill_sig,
+                self._watches, core_id, config.line_bytes, config.n_cores,
+                MISS, M, E, S, WORD_BYTES)
+            self.try_hit = ctl.try_hit
+            self._request = ctl._request
+            self._complete = ctl._complete
+            self._on_fill = ctl._on_fill
+            self._on_inv = ctl._on_inv
+            self._handle_forward = ctl._handle_forward
 
     # ------------------------------------------------------------------ #
     # public coroutine API (driven by the core with `yield from`)
@@ -141,9 +163,9 @@ class L1Cache:
         while True:
             value = self.try_hit(line, False, addr, None, None)
             if value is MISS:
-                value = yield from self._miss(line, False, addr, None, None)
-            else:
-                yield self.hit_latency
+                yield self._request(line, False)
+                value = self._complete(addr, False, None, None)
+            yield self.hit_latency
             if predicate(value):
                 return value
             if self.tags.lookup(line) is None:
@@ -167,8 +189,8 @@ class L1Cache:
         """Plain-function hit path: apply the op and return its result.
 
         Returns :data:`MISS` when the line lacks sufficient permission and
-        a directory transaction (:meth:`_miss`) is needed.  Callers on the
-        hit path still owe the L1 hit latency (``yield hit_latency``) —
+        a directory transaction (:meth:`_request`) is needed.  Callers on
+        the hit path still owe the L1 hit latency (``yield hit_latency``) —
         keeping this a non-coroutine saves a generator frame on the single
         hottest call of the whole simulator.
 
@@ -183,6 +205,7 @@ class L1Cache:
         if want_m and state == E:
             tags.set_state(line, M)  # silent E->M upgrade
         tags.touch(line)
+        # the word op of _complete, inlined: this is the pure hit path
         if fn is not None:
             result = self.backing.apply(addr, fn)
         elif want_m:
@@ -195,14 +218,18 @@ class L1Cache:
     def _access(self, line: int, want_m: bool, addr: int,
                 value: Optional[int], fn: Optional[Callable[[int], int]]):
         result = self.try_hit(line, want_m, addr, value, fn)
-        if result is not MISS:
-            yield self.hit_latency
-            return result
-        return (yield from self._miss(line, want_m, addr, value, fn))
+        if result is MISS:
+            yield self._request(line, want_m)
+            result = self._complete(addr, want_m, value, fn)
+        yield self.hit_latency
+        return result
 
-    def _miss(self, line: int, want_m: bool, addr: int,
-              value: Optional[int], fn: Optional[Callable[[int], int]]):
-        # miss (or S->M upgrade): one transaction through the directory
+    def _request(self, line: int, want_m: bool) -> Signal:
+        """Send a miss's (or S->M upgrade's) directory request.
+
+        Returns the fill signal: the caller yields it, then applies the
+        access with :meth:`_complete` (the fill has installed the line).
+        """
         state = self.tags.lookup(line)
         self._c_misses.value += 1
         if self._pending is not None:
@@ -219,9 +246,16 @@ class L1Cache:
         else:
             kind = P.GETM
         self._send_proto(self._noc, self.core_id, home, kind, line)
-        yield self._fill_sig  # fires once handle() has installed the line
-        # the line was installed synchronously in handle() at delivery time,
-        # so same-cycle recalls/invalidations observe a consistent tag state
+        return self._fill_sig
+
+    def _complete(self, addr: int, want_m: bool, value: Optional[int],
+                  fn: Optional[Callable[[int], int]]):
+        """Apply a missed access once its fill landed; returns its result.
+
+        The fill installed the line synchronously in :meth:`_on_fill` at
+        delivery time, so same-cycle recalls/invalidations observe a
+        consistent tag state.
+        """
         if fn is not None:
             result = self.backing.apply(addr, fn)
         elif want_m:
@@ -229,7 +263,6 @@ class L1Cache:
         else:
             result = self.backing.read(addr)
         self._c_accesses.value += 1
-        yield self.hit_latency
         return result
 
     def _evict(self, line: int, state: object) -> None:
@@ -246,7 +279,7 @@ class L1Cache:
     # incoming protocol messages (mesh callback)
     # ------------------------------------------------------------------ #
     def handle(self, msg: Message) -> None:
-        """Process a message routed to this L1 by the tile dispatcher.
+        """Process a protocol message addressed to this L1.
 
         Kept as the catch-all entry point for tests and direct callers;
         the tile route table delivers straight to the per-kind handlers
@@ -263,7 +296,7 @@ class L1Cache:
             raise RuntimeError(f"L1 {self.core_id}: unexpected {msg.kind}")
 
     def route_table(self) -> Dict[str, Callable[[Message], None]]:
-        """Kind -> handler map for the tile dispatcher (one probe per msg)."""
+        """Kind -> handler map for the tile's mesh route table."""
         table = {kind: self._on_fill
                  for kind in (P.DATA, P.DATA_E, P.DATA_M, P.GRANT_M,
                               P.DATA_C2C)}

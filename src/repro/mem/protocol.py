@@ -124,7 +124,12 @@ def _bind_backend(backend: str) -> None:
     global make_msg
     impl = _kernel.compiled_impl()
     if backend == "compiled" and impl is not None:
-        impl.configure_protocol(_CATEGORY, _CARRIES_DATA)
+        # the kinds the compiled L1 controller sends or dispatches on, in
+        # the order configure_protocol expects
+        impl.configure_protocol(_CATEGORY, _CARRIES_DATA, (
+            GETS, GETM, UPGRADE, DATA, DATA_E, DATA_M, GRANT_M, INV_ACK,
+            FWD_GETS, DATA_C2C, UNBLOCK, RECALL_DATA, RECALL_ACK, WB_DATA,
+            EVICT_CLEAN))
         make_msg = impl.make_msg
     else:
         make_msg = _PURE_MAKE_MSG

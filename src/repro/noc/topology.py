@@ -18,7 +18,7 @@ NoC traffic.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.mem import protocol as _protocol
 from repro.noc.messages import Message
@@ -29,6 +29,10 @@ from repro.sim.kernel import Simulator, compiled_impl
 __all__ = ["Link", "Mesh"]
 
 LOCAL_DELIVERY_LATENCY = 1
+
+#: a tile's message handler: one callable, or a kind -> callable table
+Handler = Union[Callable[[Message], None],
+                Dict[str, Callable[[Message], None]]]
 
 
 class Link:
@@ -65,7 +69,7 @@ class Mesh:
         self.config = config
         self.traffic = TrafficMeter()
         self._links: Dict[Tuple[Tuple[int, int], Tuple[int, int]], Link] = {}
-        self._handlers: Dict[int, Callable[[Message], None]] = {}
+        self._handlers: Dict[int, Handler] = {}
         # XY routes are static (the link set never changes after
         # construction), so each (src, dst) pair is walked exactly once
         self._route_cache: Dict[Tuple[int, int], List[Link]] = {}
@@ -104,20 +108,19 @@ class Mesh:
     # ------------------------------------------------------------------ #
     # endpoint registration
     # ------------------------------------------------------------------ #
-    def register(self, tile: int, handler: Callable[[Message], None],
-                 route: Optional[Dict[str, Callable[[Message], None]]] = None,
-                 ) -> None:
+    def register(self, tile: int, handler: Handler) -> None:
         """Attach the message handler for ``tile`` (one per tile).
 
-        ``route`` optionally exposes the handler's internal kind->callback
-        table; the compiled mesh core uses it to deliver straight to the
-        per-kind callback, skipping the Python dispatcher frame.
+        ``handler`` is a callable, or a kind -> callable route table: a
+        message is then delivered straight to the callback of its kind
+        (resolved at send time, as the compiled mesh core does), so no
+        dispatcher frame runs per delivery.
         """
         if tile in self._handlers:
             raise ValueError(f"tile {tile} already has a handler")
         self._handlers[tile] = handler
         if self._core is not None:
-            self._core.register(tile, handler if route is None else route)
+            self._core.register(tile, handler)
 
     # ------------------------------------------------------------------ #
     # routing
@@ -145,6 +148,11 @@ class Mesh:
         """
         sim = self.sim
         handler = self._handlers[msg.dst]
+        if type(handler) is dict:
+            handler = handler.get(msg.kind)
+            if handler is None:
+                raise RuntimeError(
+                    f"tile {msg.dst}: unroutable message {msg!r}")
         now = sim.now
         if sim.tracer is not None:
             sim.tracer.record(now, "noc", f"tile{msg.src}",

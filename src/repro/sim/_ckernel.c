@@ -12,8 +12,9 @@
  *
  * Also hosts the component-level accelerators named in the performance
  * notes: the protocol Message record + make_msg, the set-associative
- * TagArray, and MeshCore (XY routing, link reservation and traffic
- * accounting for repro.noc.topology.Mesh).
+ * TagArray, MeshCore (XY routing, link reservation and traffic
+ * accounting for repro.noc.topology.Mesh) and L1Hit (the L1 controller
+ * of repro.mem.l1).
  *
  * Events here are plain C structs recycled in place inside the queue
  * arrays, so the pure kernel's pooled-_Event free list has no analogue:
@@ -40,6 +41,12 @@ static PyObject *str_noc;             /* "noc" */
 /* protocol tables installed by repro.mem.protocol via configure_protocol */
 static PyObject *proto_category;      /* dict kind -> MsgCategory */
 static PyObject *proto_carries;       /* set of data-carrying kinds */
+/* the protocol kinds the L1 controller sends or dispatches on (interned,
+ * so an interned message kind matches by pointer) */
+static PyObject *k_gets, *k_getm, *k_upgrade, *k_data, *k_data_e,
+                *k_data_m, *k_grant_m, *k_inv_ack, *k_fwd_gets, *k_data_c2c,
+                *k_unblock, *k_recall_data, *k_recall_ack, *k_wb_data,
+                *k_evict_clean;
 
 typedef struct CSimulator CSimulator;
 typedef struct CSignal CSignal;
@@ -51,6 +58,19 @@ static PyTypeObject Process_Type;
 static PyTypeObject Message_Type;
 static PyTypeObject TagArray_Type;
 static PyTypeObject MeshCore_Type;
+
+/* Python's f"{v:#x}" into buf, for error texts: PyUnicode_FromFormat
+ * has no long long hex conversion before 3.12 */
+#define HEX_BUF 24
+static const char *
+hex_of(char *buf, long long v)
+{
+    if (v < 0)
+        snprintf(buf, HEX_BUF, "-0x%llx", 0ULL - (unsigned long long)v);
+    else
+        snprintf(buf, HEX_BUF, "0x%llx", (unsigned long long)v);
+    return buf;
+}
 
 /* ------------------------------------------------------------------ */
 /* events                                                              */
@@ -1634,14 +1654,29 @@ static PyObject *
 ck_configure_protocol(PyObject *mod, PyObject *args)
 {
     /* install the kind -> category map, the data-carrying kind set and
-     * the two wire sizes (repro.mem.protocol calls this at import so the
-     * C module never has to import protocol/messages itself) */
+     * the L1 controller's kind constants (repro.mem.protocol calls this
+     * at import so the C module never has to import protocol/messages
+     * itself); the kinds tuple order is fixed by the list below */
     PyObject *category, *carries;
-    if (!PyArg_ParseTuple(args, "OO:configure_protocol", &category,
-                          &carries))
+    PyObject **slots[] = {&k_gets, &k_getm, &k_upgrade, &k_data, &k_data_e,
+                          &k_data_m, &k_grant_m, &k_inv_ack, &k_fwd_gets,
+                          &k_data_c2c, &k_unblock, &k_recall_data,
+                          &k_recall_ack, &k_wb_data, &k_evict_clean};
+    PyObject *kinds[15];
+    if (!PyArg_ParseTuple(args, "OO(UUUUUUUUUUUUUUU):configure_protocol",
+                          &category, &carries, &kinds[0], &kinds[1],
+                          &kinds[2], &kinds[3], &kinds[4], &kinds[5],
+                          &kinds[6], &kinds[7], &kinds[8], &kinds[9],
+                          &kinds[10], &kinds[11], &kinds[12], &kinds[13],
+                          &kinds[14]))
         return NULL;
     Py_XSETREF(proto_category, Py_NewRef(category));
     Py_XSETREF(proto_carries, Py_NewRef(carries));
+    for (int i = 0; i < 15; i++) {
+        PyObject *kind = Py_NewRef(kinds[i]);
+        PyUnicode_InternInPlace(&kind);
+        Py_XSETREF(*slots[i], kind);
+    }
     Py_RETURN_NONE;
 }
 
@@ -1691,7 +1726,12 @@ ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
     }
     msg->src = src;
     msg->dst = dst;
-    msg->kind = Py_NewRef(kind);   /* protocol constants are interned */
+    /* interned like cmessage_init's, because the L1 controller matches
+     * kinds by pointer (for the interned protocol constants this only
+     * tests a flag) */
+    msg->kind = Py_NewRef(kind);
+    if (PyUnicode_CheckExact(msg->kind))
+        PyUnicode_InternInPlace(&msg->kind);
     msg->category = Py_NewRef(category);
     msg->size_bytes = size;
     msg->payload = pd;
@@ -1790,16 +1830,37 @@ ctag_parse_line(PyObject *arg)
     return v;
 }
 
+/* borrowed state of line `arg` (value `line`), NULL when absent or on
+ * error (check PyErr_Occurred); *set_out receives its set dict or NULL.
+ * The C L1 controller probes its tags through this too. */
+static inline PyObject *
+ctag_probe(CTagArray *self, PyObject *arg, long long line,
+           PyObject **set_out)
+{
+    PyObject *s = self->sets[ctag_set_index(self, line)];
+    *set_out = s;
+    return s == NULL ? NULL : PyDict_GetItemWithError(s, arg);
+}
+
+/* move a resident line to MRU: pop + reinsert (dict insertion order) */
+static int
+ctag_mru(PyObject *s, PyObject *arg, PyObject *state)
+{
+    Py_INCREF(state);
+    int rc = (PyDict_DelItem(s, arg) < 0
+              || PyDict_SetItem(s, arg, state) < 0) ? -1 : 0;
+    Py_DECREF(state);
+    return rc;
+}
+
 static PyObject *
 ctag_lookup(CTagArray *self, PyObject *arg)
 {
     long long line = ctag_parse_line(arg);
     if (line == -1 && PyErr_Occurred())
         return NULL;
-    PyObject *s = self->sets[ctag_set_index(self, line)];
-    if (s == NULL)
-        Py_RETURN_NONE;
-    PyObject *state = PyDict_GetItemWithError(s, arg);
+    PyObject *s;
+    PyObject *state = ctag_probe(self, arg, line, &s);
     if (state == NULL) {
         if (PyErr_Occurred())
             return NULL;
@@ -1817,7 +1878,11 @@ ctag_touch(CTagArray *self, PyObject *arg)
     long long idx = ctag_set_index(self, line);
     PyObject *s = self->sets[idx];
     if (s == NULL) {
-        PyErr_SetObject(PyExc_KeyError, PyLong_FromLongLong(idx));
+        PyObject *key = PyLong_FromLongLong(idx);
+        if (key != NULL) {
+            PyErr_SetObject(PyExc_KeyError, key);
+            Py_DECREF(key);
+        }
         return NULL;
     }
     PyObject *state = PyDict_GetItemWithError(s, arg);
@@ -1826,14 +1891,32 @@ ctag_touch(CTagArray *self, PyObject *arg)
             PyErr_SetObject(PyExc_KeyError, arg);
         return NULL;
     }
-    Py_INCREF(state);
-    /* pop + reinsert moves the line to MRU (dict insertion order) */
-    if (PyDict_DelItem(s, arg) < 0 || PyDict_SetItem(s, arg, state) < 0) {
-        Py_DECREF(state);
+    if (ctag_mru(s, arg, state) < 0)
         return NULL;
-    }
-    Py_DECREF(state);
     Py_RETURN_NONE;
+}
+
+/* set_state on a resident line (plain assignment keeps its LRU
+ * position); KeyError "line 0x... not resident" otherwise */
+static int
+ctag_restate(CTagArray *self, PyObject *arg, long long line,
+             PyObject *state)
+{
+    PyObject *s = self->sets[ctag_set_index(self, line)];
+    int present = s == NULL ? 0 : PyDict_Contains(s, arg);
+    if (present < 0)
+        return -1;
+    if (!present) {
+        char hex[HEX_BUF];
+        PyObject *msg = PyUnicode_FromFormat("line %s not resident",
+                                             hex_of(hex, line));
+        if (msg != NULL) {
+            PyErr_SetObject(PyExc_KeyError, msg);
+            Py_DECREF(msg);
+        }
+        return -1;
+    }
+    return PyDict_SetItem(s, arg, state);
 }
 
 static PyObject *
@@ -1843,36 +1926,18 @@ ctag_set_state(CTagArray *self, PyObject *args)
     if (!PyArg_ParseTuple(args, "OO:set_state", &arg, &state))
         return NULL;
     long long line = ctag_parse_line(arg);
-    if (line == -1 && PyErr_Occurred())
-        return NULL;
-    long long idx = ctag_set_index(self, line);
-    PyObject *s = self->sets[idx];
-    int present = s == NULL ? 0 : PyDict_Contains(s, arg);
-    if (present < 0)
-        return NULL;
-    if (!present) {
-        PyObject *msg = PyUnicode_FromFormat("line 0x%llx not resident",
-                                             (unsigned long long)line);
-        if (msg != NULL) {
-            PyErr_SetObject(PyExc_KeyError, msg);
-            Py_DECREF(msg);
-        }
-        return NULL;
-    }
-    /* plain assignment keeps the existing LRU position */
-    if (PyDict_SetItem(s, arg, state) < 0)
+    if ((line == -1 && PyErr_Occurred())
+            || ctag_restate(self, arg, line, state) < 0)
         return NULL;
     Py_RETURN_NONE;
 }
 
+/* insert `arg` as MRU; returns the evicted (line, state) tuple or None
+ * (new reference), NULL on error */
 static PyObject *
-ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
+ctag_insert_impl(CTagArray *self, PyObject *arg, PyObject *state,
+                 PyObject *may_evict)
 {
-    static char *kwlist[] = {"line_addr", "state", "may_evict", NULL};
-    PyObject *arg, *state, *may_evict = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:insert", kwlist,
-                                     &arg, &state, &may_evict))
-        return NULL;
     long long line = ctag_parse_line(arg);
     if (line == -1 && PyErr_Occurred())
         return NULL;
@@ -1888,8 +1953,9 @@ ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
     if (present < 0)
         return NULL;
     if (present) {
-        PyObject *msg = PyUnicode_FromFormat("line 0x%llx already resident",
-                                             (unsigned long long)line);
+        char hex[HEX_BUF];
+        PyObject *msg = PyUnicode_FromFormat("line %s already resident",
+                                             hex_of(hex, line));
         if (msg != NULL) {
             PyErr_SetObject(PyExc_KeyError, msg);
             Py_DECREF(msg);
@@ -1948,6 +2014,17 @@ ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
     if (victim == NULL)
         Py_RETURN_NONE;
     return victim;
+}
+
+static PyObject *
+ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"line_addr", "state", "may_evict", NULL};
+    PyObject *arg, *state, *may_evict = Py_None;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:insert", kwlist,
+                                     &arg, &state, &may_evict))
+        return NULL;
+    return ctag_insert_impl(self, arg, state, may_evict);
 }
 
 static PyObject *
@@ -2583,51 +2660,94 @@ static PyTypeObject MeshCore_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* L1Hit: the whole L1 cache-hit fast path in one C call               */
+/* L1Hit: the compiled L1 controller (repro.mem.l1)                    */
 /* ------------------------------------------------------------------ */
 
-/* Fuses L1Cache.try_hit — tag lookup, permission check, silent E->M
- * upgrade, LRU touch, BackingStore word op and access-counter bump —
- * into a single method call.  This is the single hottest path of the
- * simulator (every load/store/rmw that hits starts here).  Semantics
- * mirror the pure-Python try_hit exactly, including the unaligned-word
- * ValueError text and returning None for plain stores. */
+/* The whole private-L1 MESI controller of repro.mem.l1.L1Cache, bound
+ * over the instance's methods when the kernel and the tag array are
+ * compiled:
+ *   try_hit          tag probe, silent E->M upgrade, LRU touch,
+ *                    BackingStore word op and access counter;
+ *   _request         miss issue (GetS / GetM / Upgrade to the home);
+ *   _complete        the word op once the fill has landed;
+ *   _on_fill         fill install, with the victim's eviction notice;
+ *   _on_inv          invalidation + InvAck;
+ *   _handle_forward  cache-to-cache serve + Recall notice to the home;
+ * plus the spin-watch wakeups.  Messages leave through ck_build_msg +
+ * cmesh_send and signals fire through csignal_fire_impl, so no Python
+ * frame runs per L1 protocol message.  Semantics and every error text
+ * mirror the pure L1Cache, which stays the reference. */
 
 typedef struct {
     PyObject_HEAD
     CTagArray *tags;       /* the owning L1's compiled tag array */
     PyObject *words;       /* BackingStore._words dict */
-    PyObject *counter;     /* l1.accesses BoundCounter */
-    PyObject *miss;        /* sentinel returned on insufficient permission */
-    PyObject *st_m;        /* the "M" state object (l1 module constant) */
-    PyObject *st_e;        /* the "E" state object */
+    PyObject *counters;    /* CounterSet (the rare counters go via add) */
+    PyObject *accesses;    /* l1.accesses BoundCounter */
+    PyObject *misses;      /* l1.misses BoundCounter */
+    CMeshCore *mesh;       /* the chip's compiled mesh core */
+    PyObject *noc;         /* NoCConfig (wire sizes for ck_build_msg) */
+    CSignal *fill_sig;     /* fired once a fill or grant is installed */
+    PyObject *watches;     /* dict line -> spin-watch Signal */
+    PyObject *pending;     /* line of the outstanding miss, or NULL */
+    PyObject *miss;        /* sentinel try_hit returns on a miss */
+    PyObject *st_m;        /* the l1 module's MESI state objects */
+    PyObject *st_e;
+    PyObject *st_s;
+    long core_id;
+    long long line_bytes;
+    long long n_tiles;
     long long word_bytes;
 } CL1Hit;
 
 static PyObject *long_zero;    /* cached int(0), created in module init */
+static PyObject *str_add;      /* "add" */
+static PyObject *str_c2c;      /* "l1.c2c_transfers" */
+static PyObject *str_wbs;      /* "l1.writebacks" */
+static PyObject *str_grant;    /* "grant" */
+static PyObject *str_present;  /* "present" */
+static PyObject *str_requester;  /* "requester" */
 
 static int
 cl1hit_init(CL1Hit *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"tags", "words", "counter", "miss",
-                             "st_m", "st_e", "word_bytes", NULL};
-    PyObject *tags, *words, *counter, *miss, *st_m, *st_e;
-    long long word_bytes;
+    static char *kwlist[] = {"tags", "words", "counters", "accesses",
+                             "misses", "mesh", "noc", "fill_sig", "watches",
+                             "core_id", "line_bytes", "n_tiles", "miss",
+                             "st_m", "st_e", "st_s", "word_bytes", NULL};
+    PyObject *tags, *words, *counters, *accesses, *misses, *mesh, *noc;
+    PyObject *fill_sig, *watches, *miss, *st_m, *st_e, *st_s;
+    long core_id;
+    long long line_bytes, n_tiles, word_bytes;
     if (!PyArg_ParseTupleAndKeywords(
-            args, kwds, "O!O!OOOOL:L1Hit", kwlist,
-            &TagArray_Type, &tags, &PyDict_Type, &words,
-            &counter, &miss, &st_m, &st_e, &word_bytes))
+            args, kwds, "O!O!OOOO!OO!O!lLLOOOOL:L1Hit", kwlist,
+            &TagArray_Type, &tags, &PyDict_Type, &words, &counters,
+            &accesses, &misses, &MeshCore_Type, &mesh, &noc,
+            &Signal_Type, &fill_sig, &PyDict_Type, &watches, &core_id,
+            &line_bytes, &n_tiles, &miss, &st_m, &st_e, &st_s,
+            &word_bytes))
         return -1;
-    if (word_bytes <= 0) {
-        PyErr_SetString(PyExc_ValueError, "word_bytes must be positive");
+    if (line_bytes <= 0 || n_tiles <= 0 || word_bytes <= 0) {
+        PyErr_SetString(PyExc_ValueError, "invalid L1 geometry");
         return -1;
     }
     Py_XSETREF(self->tags, (CTagArray *)Py_NewRef(tags));
     Py_XSETREF(self->words, Py_NewRef(words));
-    Py_XSETREF(self->counter, Py_NewRef(counter));
+    Py_XSETREF(self->counters, Py_NewRef(counters));
+    Py_XSETREF(self->accesses, Py_NewRef(accesses));
+    Py_XSETREF(self->misses, Py_NewRef(misses));
+    Py_XSETREF(self->mesh, (CMeshCore *)Py_NewRef(mesh));
+    Py_XSETREF(self->noc, Py_NewRef(noc));
+    Py_XSETREF(self->fill_sig, (CSignal *)Py_NewRef(fill_sig));
+    Py_XSETREF(self->watches, Py_NewRef(watches));
+    Py_CLEAR(self->pending);
     Py_XSETREF(self->miss, Py_NewRef(miss));
     Py_XSETREF(self->st_m, Py_NewRef(st_m));
     Py_XSETREF(self->st_e, Py_NewRef(st_e));
+    Py_XSETREF(self->st_s, Py_NewRef(st_s));
+    self->core_id = core_id;
+    self->line_bytes = line_bytes;
+    self->n_tiles = n_tiles;
     self->word_bytes = word_bytes;
     return 0;
 }
@@ -2637,10 +2757,18 @@ cl1hit_traverse(CL1Hit *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->tags);
     Py_VISIT(self->words);
-    Py_VISIT(self->counter);
+    Py_VISIT(self->counters);
+    Py_VISIT(self->accesses);
+    Py_VISIT(self->misses);
+    Py_VISIT(self->mesh);
+    Py_VISIT(self->noc);
+    Py_VISIT(self->fill_sig);
+    Py_VISIT(self->watches);
+    Py_VISIT(self->pending);
     Py_VISIT(self->miss);
     Py_VISIT(self->st_m);
     Py_VISIT(self->st_e);
+    Py_VISIT(self->st_s);
     return 0;
 }
 
@@ -2649,10 +2777,18 @@ cl1hit_clear_gc(CL1Hit *self)
 {
     Py_CLEAR(self->tags);
     Py_CLEAR(self->words);
-    Py_CLEAR(self->counter);
+    Py_CLEAR(self->counters);
+    Py_CLEAR(self->accesses);
+    Py_CLEAR(self->misses);
+    Py_CLEAR(self->mesh);
+    Py_CLEAR(self->noc);
+    Py_CLEAR(self->fill_sig);
+    Py_CLEAR(self->watches);
+    Py_CLEAR(self->pending);
     Py_CLEAR(self->miss);
     Py_CLEAR(self->st_m);
     Py_CLEAR(self->st_e);
+    Py_CLEAR(self->st_s);
     return 0;
 }
 
@@ -2664,74 +2800,104 @@ cl1hit_dealloc(CL1Hit *self)
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
-/* try_hit(line, want_m, addr, value, fn) -> result | MISS sentinel */
-static PyObject *
-cl1hit_try_hit(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
+/* a == b for the state objects: they are the l1 module constants, so
+ * the pointer compare normally decides; equality covers foreign strings */
+static inline int
+l1_is(PyObject *a, PyObject *b)
 {
-    if (nargs != 5) {
-        PyErr_Format(PyExc_TypeError,
-                     "try_hit expects 5 arguments, got %zd", nargs);
-        return NULL;
+    return a == b ? 1 : PyObject_RichCompareBool(a, b, Py_EQ);
+}
+
+static inline int
+l1_truth(PyObject *o)
+{
+    return o == Py_True ? 1 : (o == Py_False ? 0 : PyObject_IsTrue(o));
+}
+
+static inline long
+l1_home(CL1Hit *self, long long line)
+{
+    /* repro.mem.address.home_of: round-robin line interleaving */
+    return (long)((line / self->line_bytes) % self->n_tiles);
+}
+
+/* send one protocol message from this L1's tile (make_msg + mesh send) */
+static int
+l1_send(CL1Hit *self, long dst, PyObject *kind, PyObject *line,
+        PyObject *extra)
+{
+    PyObject *msg = ck_build_msg(self->noc, self->core_id, dst, kind, line,
+                                 extra);
+    if (msg == NULL)
+        return -1;
+    PyObject *r = cmesh_send(self->mesh, msg);
+    Py_DECREF(msg);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* same, with the one-entry extra payload {key: value} */
+static int
+l1_send_extra(CL1Hit *self, long dst, PyObject *kind, PyObject *line,
+              PyObject *key, PyObject *value)
+{
+    PyObject *extra = PyDict_New();
+    if (extra == NULL)
+        return -1;
+    int rc = PyDict_SetItem(extra, key, value) < 0
+        ? -1 : l1_send(self, dst, kind, line, extra);
+    Py_DECREF(extra);
+    return rc;
+}
+
+/* counters.add(name): keeps the counter-key order of the pure L1 */
+static int
+l1_count(CL1Hit *self, PyObject *name)
+{
+    PyObject *r = PyObject_CallMethodOneArg(self->counters, str_add, name);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* fire the spin-watch signal of `line`, if a spinner ever armed one */
+static int
+l1_wake(CL1Hit *self, PyObject *line)
+{
+    PyObject *watch = PyDict_GetItemWithError(self->watches, line);
+    if (watch == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    if (!PyObject_TypeCheck(watch, &Signal_Type)) {
+        PyErr_Format(PyExc_TypeError, "L1 %ld: watch %R is not a compiled "
+                     "Signal", self->core_id, watch);
+        return -1;
     }
-    PyObject *line = args[0];
-    PyObject *addr = args[2];
-    PyObject *value = args[3];
-    PyObject *fn = args[4];
-    int want_m = args[1] == Py_True
-        ? 1 : (args[1] == Py_False ? 0 : PyObject_IsTrue(args[1]));
-    if (want_m < 0)
-        return NULL;
-    CTagArray *tags = self->tags;
-    long long l = PyLong_AsLongLong(line);
-    if (l == -1 && PyErr_Occurred())
-        return NULL;
-    PyObject *set = tags->sets[ctag_set_index(tags, l)];
-    PyObject *state = NULL;
-    if (set != NULL) {
-        state = PyDict_GetItemWithError(set, line);  /* borrowed */
-        if (state == NULL && PyErr_Occurred())
-            return NULL;
-    }
-    if (state == NULL)
-        return Py_NewRef(self->miss);
-    int is_m = 0, is_e = 0;
-    if (want_m) {
-        /* states come from the l1 module constants, so pointer compares
-         * normally decide; fall back to equality for foreign strings */
-        is_m = state == self->st_m;
-        if (!is_m && (is_m = PyObject_RichCompareBool(
-                state, self->st_m, Py_EQ)) < 0)
-            return NULL;
-        if (!is_m) {
-            is_e = state == self->st_e;
-            if (!is_e && (is_e = PyObject_RichCompareBool(
-                    state, self->st_e, Py_EQ)) < 0)
-                return NULL;
-        }
-        if (!is_m && !is_e)
-            return Py_NewRef(self->miss);
-        if (is_e) {
-            /* silent E->M upgrade; plain assignment keeps LRU position */
-            if (PyDict_SetItem(set, line, self->st_m) < 0)
-                return NULL;
-            state = self->st_m;
-        }
-    }
-    /* LRU touch: pop + reinsert moves the line to MRU */
-    Py_INCREF(state);
-    if (PyDict_DelItem(set, line) < 0
-            || PyDict_SetItem(set, line, state) < 0) {
-        Py_DECREF(state);
-        return NULL;
-    }
-    Py_DECREF(state);
-    /* the backing-store word op (positional encoding, see try_hit) */
+    return csignal_fire_impl((CSignal *)watch, Py_None);
+}
+
+/* tags.set_state + tags.touch on a resident line */
+static int
+l1_restate(CL1Hit *self, PyObject *line, long long l, PyObject *state)
+{
+    if (ctag_restate(self->tags, line, l, state) < 0)
+        return -1;
+    return ctag_mru(self->tags->sets[ctag_set_index(self->tags, l)], line,
+                    state);
+}
+
+/* the BackingStore word op of one access (positional encoding, see
+ * L1Cache.try_hit: fn -> rmw, else want_m -> store, else load) plus the
+ * access counter; shared by the hit path and the miss completion */
+static PyObject *
+l1_word_op(CL1Hit *self, PyObject *addr, int want_m, PyObject *value,
+           PyObject *fn)
+{
     long long a = PyLong_AsLongLong(addr);
     if (a == -1 && PyErr_Occurred())
         return NULL;
     if (a % self->word_bytes) {
-        PyErr_Format(PyExc_ValueError, "unaligned word address %#llx",
-                     (unsigned long long)a);
+        char hex[HEX_BUF];
+        PyErr_Format(PyExc_ValueError, "unaligned word address %s",
+                     hex_of(hex, a));
         return NULL;
     }
     PyObject *result;
@@ -2745,23 +2911,22 @@ cl1hit_try_hit(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
         }
         Py_INCREF(old);
         PyObject *new_val = PyObject_CallOneArg(fn, old);
-        if (new_val == NULL) {
-            Py_DECREF(old);
-            return NULL;
-        }
-        if (PyDict_SetItem(self->words, addr, new_val) < 0) {
-            Py_DECREF(new_val);
+        if (new_val == NULL || PyDict_SetItem(self->words, addr,
+                                              new_val) < 0) {
+            Py_XDECREF(new_val);
             Py_DECREF(old);
             return NULL;
         }
         Py_DECREF(new_val);
         result = old;
-    } else if (want_m) {
+    }
+    else if (want_m) {
         /* store: pure BackingStore.write returns None */
         if (PyDict_SetItem(self->words, addr, value) < 0)
             return NULL;
         result = Py_NewRef(Py_None);
-    } else {
+    }
+    else {
         /* load */
         PyObject *v = PyDict_GetItemWithError(self->words, addr);
         if (v == NULL) {
@@ -2771,16 +2936,335 @@ cl1hit_try_hit(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
         }
         result = Py_NewRef(v);
     }
-    if (counter_iadd(self->counter, 1) < 0) {
+    if (counter_iadd(self->accesses, 1) < 0) {
         Py_DECREF(result);
         return NULL;
     }
     return result;
 }
 
+/* unpack an incoming protocol message: its interned kind, payload and
+ * line (new references) and the line's value; -1 with nothing held */
+static int
+l1_unpack(PyObject *msg, PyObject **kind, PyObject **payload,
+          PyObject **line, long long *l)
+{
+    if (Py_IS_TYPE(msg, &Message_Type)) {
+        *kind = Py_NewRef(((CMessage *)msg)->kind);
+        *payload = Py_NewRef(((CMessage *)msg)->payload);
+    }
+    else {
+        /* a pure-Python Message, e.g. built by hand in a test */
+        *kind = PyObject_GetAttrString(msg, "kind");
+        if (*kind == NULL)
+            return -1;
+        if (PyUnicode_CheckExact(*kind))
+            PyUnicode_InternInPlace(kind);
+        *payload = PyObject_GetAttrString(msg, "payload");
+        if (*payload == NULL) {
+            Py_CLEAR(*kind);
+            return -1;
+        }
+    }
+    *line = PyObject_GetItem(*payload, str_line);
+    *l = *line == NULL ? -1 : ctag_parse_line(*line);
+    if (*l == -1 && PyErr_Occurred()) {
+        Py_CLEAR(*kind);
+        Py_CLEAR(*payload);
+        Py_CLEAR(*line);
+        return -1;
+    }
+    return 0;
+}
+
+/* eviction notice for a fill's victim: WBData if dirty, EvictClean if
+ * E, silent for S; a spinner on the victim line is woken either way */
+static int
+l1_evict(CL1Hit *self, PyObject *line, PyObject *state)
+{
+    long long l = ctag_parse_line(line);
+    if (l == -1 && PyErr_Occurred())
+        return -1;
+    int is_m = l1_is(state, self->st_m);
+    if (is_m < 0)
+        return -1;
+    if (is_m) {
+        if (l1_count(self, str_wbs) < 0
+                || l1_send(self, l1_home(self, l), k_wb_data, line,
+                           Py_None) < 0)
+            return -1;
+    }
+    else {
+        int is_e = l1_is(state, self->st_e);
+        if (is_e < 0 || (is_e && l1_send(self, l1_home(self, l),
+                                         k_evict_clean, line, Py_None) < 0))
+            return -1;
+    }
+    return l1_wake(self, line);
+}
+
+/* try_hit(line, want_m, addr, value, fn) -> result | MISS sentinel */
+static PyObject *
+cl1hit_try_hit(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_Format(PyExc_TypeError,
+                     "try_hit expects 5 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *line = args[0];
+    int want_m = l1_truth(args[1]);
+    if (want_m < 0)
+        return NULL;
+    long long l = ctag_parse_line(line);
+    if (l == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *set;
+    PyObject *state = ctag_probe(self->tags, line, l, &set);
+    if (state == NULL)
+        return PyErr_Occurred() ? NULL : Py_NewRef(self->miss);
+    if (want_m) {
+        int is_m = l1_is(state, self->st_m), is_e = 0;
+        if (is_m < 0 || (!is_m && (is_e = l1_is(state, self->st_e)) < 0))
+            return NULL;
+        if (!is_m && !is_e)
+            return Py_NewRef(self->miss);
+        if (is_e) {
+            /* silent E->M upgrade; plain assignment keeps LRU position */
+            if (PyDict_SetItem(set, line, self->st_m) < 0)
+                return NULL;
+            state = self->st_m;
+        }
+    }
+    if (ctag_mru(set, line, state) < 0)
+        return NULL;
+    return l1_word_op(self, args[2], want_m, args[3], args[4]);
+}
+
+/* _request(line, want_m) -> the fill signal the caller yields */
+static PyObject *
+cl1hit_request(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_Format(PyExc_TypeError,
+                     "_request expects 2 arguments, got %zd", nargs);
+        return NULL;
+    }
+    PyObject *line = args[0];
+    int want_m = l1_truth(args[1]);
+    if (want_m < 0)
+        return NULL;
+    long long l = ctag_parse_line(line);
+    if (l == -1 && PyErr_Occurred())
+        return NULL;
+    PyObject *set;
+    PyObject *state = ctag_probe(self->tags, line, l, &set);
+    if ((state == NULL && PyErr_Occurred())
+            || counter_iadd(self->misses, 1) < 0)
+        return NULL;
+    if (self->pending != NULL) {
+        char hex[HEX_BUF];
+        PyErr_Format(PyExc_RuntimeError,
+                     "L1 %ld: second outstanding miss on line %s "
+                     "(cores are in-order)", self->core_id, hex_of(hex, l));
+        return NULL;
+    }
+    self->pending = Py_NewRef(line);
+    /* a line still held in S needs only a dataless Upgrade grant */
+    PyObject *kind = !want_m ? k_gets : (state != NULL ? k_upgrade : k_getm);
+    if (l1_send(self, l1_home(self, l), kind, line, Py_None) < 0)
+        return NULL;
+    return Py_NewRef((PyObject *)self->fill_sig);
+}
+
+/* _complete(addr, want_m, value, fn) -> result, once the fill landed */
+static PyObject *
+cl1hit_complete(CL1Hit *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4) {
+        PyErr_Format(PyExc_TypeError,
+                     "_complete expects 4 arguments, got %zd", nargs);
+        return NULL;
+    }
+    int want_m = l1_truth(args[1]);
+    if (want_m < 0)
+        return NULL;
+    return l1_word_op(self, args[0], want_m, args[2], args[3]);
+}
+
+/* _on_fill(msg): Data/DataE/DataM/GrantM/DataC2C delivery */
+static PyObject *
+cl1hit_on_fill(CL1Hit *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line, *set, *state, *victim = NULL;
+    PyObject *new_state;
+    long long l;
+    int rc = -1;
+    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+        return NULL;
+    int same = self->pending == NULL ? 0 : l1_is(self->pending, line);
+    if (same < 0)
+        goto done;
+    if (!same) {
+        char hex[HEX_BUF];
+        PyErr_Format(PyExc_RuntimeError, "L1 %ld: fill for %s but "
+                     "pending %R", self->core_id, hex_of(hex, l),
+                     self->pending == NULL ? Py_None : self->pending);
+        goto done;
+    }
+    Py_CLEAR(self->pending);
+    if (kind == k_grant_m) {
+        /* upgrade: the line must still be resident in S */
+        if (l1_restate(self, line, l, self->st_m) < 0)
+            goto done;
+        rc = csignal_fire_impl(self->fill_sig, msg);
+        goto done;
+    }
+    if (kind == k_data_c2c) {
+        PyObject *extra = PyObject_GetItem(payload, str_extra);
+        PyObject *grant = extra ? PyObject_GetItem(extra, str_grant) : NULL;
+        int is_m = grant ? l1_is(grant, self->st_m) : -1;
+        Py_XDECREF(extra);
+        Py_XDECREF(grant);
+        if (is_m < 0)
+            goto done;
+        new_state = is_m ? self->st_m : self->st_s;
+    }
+    else if (kind == k_data)
+        new_state = self->st_s;
+    else if (kind == k_data_e)
+        new_state = self->st_e;
+    else if (kind == k_data_m)
+        new_state = self->st_m;
+    else {
+        PyErr_SetObject(PyExc_KeyError, kind);
+        goto done;
+    }
+    state = ctag_probe(self->tags, line, l, &set);
+    if (state != NULL) {
+        /* S->M where the directory chose to send full data */
+        if (l1_restate(self, line, l, new_state) < 0)
+            goto done;
+    }
+    else if (PyErr_Occurred()
+             || (victim = ctag_insert_impl(self->tags, line, new_state,
+                                           Py_None)) == NULL
+             || (victim != Py_None
+                 && l1_evict(self, PyTuple_GET_ITEM(victim, 0),
+                             PyTuple_GET_ITEM(victim, 1)) < 0))
+        goto done;
+    /* a cache-to-cache fill tells the home it landed (unblocks the line) */
+    if (kind == k_data_c2c
+            && l1_send(self, l1_home(self, l), k_unblock, line, Py_None) < 0)
+        goto done;
+    rc = csignal_fire_impl(self->fill_sig, msg);
+done:
+    Py_DECREF(kind);
+    Py_DECREF(payload);
+    Py_DECREF(line);
+    Py_XDECREF(victim);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _on_inv(msg): drop the line, wake its spinners, ack the home */
+static PyObject *
+cl1hit_on_inv(CL1Hit *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    long long l;
+    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+        return NULL;
+    PyObject *old = ctag_invalidate(self->tags, line);
+    int rc = (old == NULL || l1_wake(self, line) < 0
+              || l1_send(self, l1_home(self, l), k_inv_ack, line,
+                         Py_None) < 0) ? -1 : 0;
+    Py_XDECREF(old);
+    Py_DECREF(kind);
+    Py_DECREF(payload);
+    Py_DECREF(line);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* _handle_forward(msg): FwdGetS/FwdGetM -- serve the requester with a
+ * cache-to-cache transfer and notify the home */
+static PyObject *
+cl1hit_handle_forward(CL1Hit *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line, *set, *state, *grant, *old;
+    long long l;
+    long requester = -1;
+    int rc = -1, dirty;
+    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+        return NULL;
+    PyObject *extra = PyObject_GetItem(payload, str_extra);
+    PyObject *req = extra ? PyObject_GetItem(extra, str_requester) : NULL;
+    if (req != NULL)
+        requester = PyLong_AsLong(req);
+    Py_XDECREF(extra);
+    Py_XDECREF(req);
+    if (requester == -1 && PyErr_Occurred())
+        goto done;
+    long home = l1_home(self, l);
+    state = ctag_probe(self->tags, line, l, &set);
+    if (state == NULL) {
+        /* already evicted; the eviction notice is ahead of this ack and
+         * the home will serve the requester from its own copy */
+        if (!PyErr_Occurred())
+            rc = l1_send_extra(self, home, k_recall_ack, line, str_present,
+                               Py_False);
+        goto done;
+    }
+    if ((dirty = l1_is(state, self->st_m)) < 0)
+        goto done;
+    if (kind == k_fwd_gets) {
+        if (ctag_restate(self->tags, line, l, self->st_s) < 0)
+            goto done;
+        grant = self->st_s;
+    }
+    else {
+        if ((old = ctag_invalidate(self->tags, line)) == NULL)
+            goto done;
+        Py_DECREF(old);
+        if (l1_wake(self, line) < 0)
+            goto done;
+        grant = self->st_m;
+    }
+    if (l1_count(self, str_c2c) < 0
+            || l1_send_extra(self, requester, k_data_c2c, line, str_grant,
+                             grant) < 0)
+        goto done;
+    /* notify the home (with data if we were dirty, so its L2 copy is
+     * marked stale/dirty for writeback accounting) */
+    rc = l1_send_extra(self, home,
+                       dirty && grant == self->st_s ? k_recall_data
+                                                    : k_recall_ack,
+                       line, str_present, Py_True);
+done:
+    Py_DECREF(kind);
+    Py_DECREF(payload);
+    Py_DECREF(line);
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 static PyMethodDef cl1hit_methods[] = {
     {"try_hit", (PyCFunction)cl1hit_try_hit, METH_FASTCALL,
-     "Fused L1 hit path: lookup + touch + word op + counter in one call."},
+     "Hit path: apply the access and return its result, or MISS."},
+    {"_request", (PyCFunction)cl1hit_request, METH_FASTCALL,
+     "Issue a miss's directory request; returns the fill signal."},
+    {"_complete", (PyCFunction)cl1hit_complete, METH_FASTCALL,
+     "Apply a missed access once its fill landed; returns its result."},
+    {"_on_fill", (PyCFunction)cl1hit_on_fill, METH_O,
+     "Install a data grant, upgrade grant or cache-to-cache fill."},
+    {"_on_inv", (PyCFunction)cl1hit_on_inv, METH_O,
+     "Drop an invalidated line and ack the home."},
+    {"_handle_forward", (PyCFunction)cl1hit_handle_forward, METH_O,
+     "Serve a forwarded request cache-to-cache and notify the home."},
     {NULL}
 };
 
@@ -2789,7 +3273,7 @@ static PyTypeObject L1Hit_Type = {
     .tp_name = "repro.sim._ckernel.L1Hit",
     .tp_basicsize = sizeof(CL1Hit),
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "Compiled L1 cache-hit fast path (see repro.mem.l1).",
+    .tp_doc = "Compiled L1 controller (see repro.mem.l1).",
     .tp_new = PyType_GenericNew,
     .tp_init = (initproc)cl1hit_init,
     .tp_dealloc = (destructor)cl1hit_dealloc,
@@ -2876,7 +3360,15 @@ PyInit__ckernel(void)
             || PyType_Ready(&L1Hit_Type) < 0)
         goto fail;
 
-    if ((long_zero = PyLong_FromLong(0)) == NULL)
+    if ((long_zero = PyLong_FromLong(0)) == NULL
+            || (str_add = PyUnicode_InternFromString("add")) == NULL
+            || (str_c2c =
+                    PyUnicode_InternFromString("l1.c2c_transfers")) == NULL
+            || (str_wbs = PyUnicode_InternFromString("l1.writebacks")) == NULL
+            || (str_grant = PyUnicode_InternFromString("grant")) == NULL
+            || (str_present = PyUnicode_InternFromString("present")) == NULL
+            || (str_requester =
+                    PyUnicode_InternFromString("requester")) == NULL)
         goto fail;
 
     PyObject *mod = PyModule_Create(&ckernel_module);

@@ -58,6 +58,10 @@ class ComponentProfile:
 
 _INSTANCE_MARKERS = re.compile(r"0x[0-9a-fA-F]+|\d+")
 
+#: compiled component types reported under the layer they implement, so
+#: both kernel backends produce the same rows
+_LAYER_OF = {"L1Hit": "L1Cache"}
+
 
 def _role_of(name: str) -> str:
     """A process/signal name with instance markers (ids, addresses) removed,
@@ -70,10 +74,11 @@ def _component_of(fn: Callable) -> str:
     """Attribution key for an event callback.
 
     Bound methods are attributed to their owner: model components
-    (L1Cache, L2DirectorySlice, ...) by class name, kernel Processes by
-    their role (see :func:`_role_of`).  Plain functions and closures
-    (e.g. the per-tile mesh dispatcher) fall back to their qualified
-    name with the ``<locals>`` noise removed.
+    (L1Cache, L2DirectorySlice, ...) by class name -- the compiled L1
+    controller as the ``L1Cache`` it implements -- and kernel Processes
+    by their role (see :func:`_role_of`).  Plain functions and closures
+    fall back to their qualified name with the ``<locals>`` noise
+    removed.
     """
     owner = getattr(fn, "__self__", None)
     if owner is None:
@@ -86,7 +91,7 @@ def _component_of(fn: Callable) -> str:
         return f"process:{_role_of(owner.name)}"
     if cls == "Signal":
         return f"signal:{_role_of(owner.name)}"
-    return cls
+    return _LAYER_OF.get(cls, cls)
 
 
 class Profiler:
