@@ -778,7 +778,16 @@ def _cmd_modelcheck(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.sim import kernel
+
     args = build_parser().parse_args(argv)
+    try:
+        # resolves $REPRO_SIM_BACKEND: a bad value gets the one-line
+        # error (and exit 2) an unusable --backend gets
+        kernel.active_backend()
+    except (ValueError, kernel.BackendUnavailableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     handler = {
         "config": _cmd_config,
         "cost": _cmd_cost,

@@ -89,24 +89,3 @@ class TagArray:
     def occupancy(self) -> int:
         """Total resident lines."""
         return sum(len(s) for s in self._sets.values())
-
-
-# --------------------------------------------------------------------- #
-# compiled backend
-# --------------------------------------------------------------------- #
-_PURE_TAGARRAY = TagArray
-
-
-def _bind_backend(backend: str) -> None:
-    # the compiled TagArray keeps the same dict-order-is-LRU contract and
-    # KeyError messages; cache controllers construct via ``cache.TagArray``
-    # so this module-level rebind is all the switch needs
-    global TagArray
-    impl = _kernel.compiled_impl()
-    TagArray = (impl.TagArray if backend == "compiled" and impl is not None
-                else _PURE_TAGARRAY)
-
-
-from repro.sim import kernel as _kernel  # noqa: E402
-
-_kernel.on_backend_change(_bind_backend)

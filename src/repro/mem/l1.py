@@ -11,8 +11,8 @@ the access with :meth:`_complete`, and every access ends by yielding the
 hit latency.  The core's :class:`~repro.cpu.core.ThreadContext` inlines
 that sequence, so no generator frame is spent on the L1.
 
-With the compiled kernel (compiled simulator and tag array), one C
-``L1Hit`` object per L1 carries the whole controller: the instance binds
+On a compiled simulator, one C ``L1Hit`` object per L1 (over a C
+``TagArray``) carries the whole controller: the instance binds
 ``try_hit``, ``_request``, ``_complete``, ``_on_fill``, ``_on_inv`` and
 ``_handle_forward`` to it, so misses, fills, evictions, invalidations,
 forwards and spin-watch wakeups run with no Python frame.  The methods
@@ -41,11 +41,11 @@ from typing import Callable, Dict, Optional
 from repro.mem import protocol as P
 from repro.mem.address import WORD_BYTES, home_of, line_of
 from repro.mem.backing import BackingStore
-from repro.mem import cache
+from repro.mem.cache import TagArray
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Signal, Simulator, compiled_impl
+from repro.sim.kernel import Signal, Simulator, compiled_for
 from repro.sim.stats import CounterSet
 
 __all__ = ["L1Cache"]
@@ -80,9 +80,10 @@ class L1Cache:
         self.mesh = mesh
         self.backing = backing
         self.counters = counters
-        # cache.TagArray rather than a direct import: the binding follows
-        # the active kernel backend (see repro.mem.cache._bind_backend)
-        self.tags = cache.TagArray(config.l1)
+        # the simulator picks the implementation: a compiled one gets the
+        # C tag array and controller below, a pure one stays all-Python
+        impl = compiled_for(sim)
+        self.tags = (TagArray if impl is None else impl.TagArray)(config.l1)
         self.hit_latency = config.l1.latency
         # hot-path constants, resolved once (line_of/home_of inlined in
         # the access path: these run once or more per memory access)
@@ -106,15 +107,12 @@ class L1Cache:
         self._c_misses = counters.bind("l1.misses")
         self._c_rmw = counters.bind("l1.rmw")
         self._c_spin_cycles = counters.bind("l1.spin_cycles")
-        # compiled controller: when both the tag array and the simulator
-        # come from the compiled backend, one C object owns the tags'
-        # protocol state, the pending miss and the message handlers.  It
-        # shares the fill signal and the watch map with spin_until, and
-        # its bound methods shadow the pure ones below for every caller,
-        # the route table included.
-        impl = compiled_impl()
-        if (impl is not None and type(sim) is impl.Simulator
-                and type(self.tags) is impl.TagArray):
+        # compiled controller: one C object owns the tags' protocol state,
+        # the pending miss and the message handlers.  It shares the fill
+        # signal and the watch map with spin_until, and its bound methods
+        # shadow the pure ones below for every caller, the route table
+        # included.
+        if impl is not None:
             ctl = impl.L1Hit(
                 self.tags, backing._words, counters, self._c_accesses,
                 self._c_misses, mesh._core, config.noc, self._fill_sig,

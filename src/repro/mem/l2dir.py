@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Optional, Set
 
 from repro.mem import protocol as P
-from repro.mem import cache
+from repro.mem.cache import TagArray
 from repro.noc.messages import Message
 from repro.noc.topology import Mesh
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Simulator, compiled_for
 from repro.sim.stats import CounterSet
 
 __all__ = ["L2DirectorySlice", "DIR_LATENCY"]
@@ -78,7 +78,8 @@ class L2DirectorySlice:
         self.tile_id = tile_id
         self.mesh = mesh
         self.counters = counters
-        self.tags = cache.TagArray(config.l2)
+        impl = compiled_for(sim)
+        self.tags = (TagArray if impl is None else impl.TagArray)(config.l2)
         self._dir: Dict[int, DirEntry] = {}
         self._noc = config.noc
         # fused make_msg+send entry point, resolved once (bound C method

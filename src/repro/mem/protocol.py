@@ -39,6 +39,7 @@ from typing import Any
 
 from repro.noc.messages import Message, MsgCategory
 from repro.sim.config import NoCConfig
+from repro.sim.kernel import available_backends
 
 __all__ = [
     "GETS", "GETM", "UPGRADE", "DATA", "DATA_E", "DATA_M", "GRANT_M",
@@ -111,30 +112,13 @@ def make_msg(noc: NoCConfig, src: int, dst: int, kind: str, line: int,
     )
 
 
-# --------------------------------------------------------------------- #
-# compiled backend
-# --------------------------------------------------------------------- #
-_PURE_MAKE_MSG = make_msg
+# the compiled mesh core and L1 controller build messages from these
+# tables (the C module never imports this package itself, to keep its
+# import free of cycles); the kinds go in the order it expects
+if "compiled" in available_backends():
+    from repro.sim import _ckernel
 
-
-def _bind_backend(backend: str) -> None:
-    # hand the kind tables to the C module (it never imports this package
-    # itself, to keep extension import free of cycles) and rebind the
-    # module-level ``make_msg`` every L1/L2 call site goes through
-    global make_msg
-    impl = _kernel.compiled_impl()
-    if backend == "compiled" and impl is not None:
-        # the kinds the compiled L1 controller sends or dispatches on, in
-        # the order configure_protocol expects
-        impl.configure_protocol(_CATEGORY, _CARRIES_DATA, (
-            GETS, GETM, UPGRADE, DATA, DATA_E, DATA_M, GRANT_M, INV_ACK,
-            FWD_GETS, DATA_C2C, UNBLOCK, RECALL_DATA, RECALL_ACK, WB_DATA,
-            EVICT_CLEAN))
-        make_msg = impl.make_msg
-    else:
-        make_msg = _PURE_MAKE_MSG
-
-
-from repro.sim import kernel as _kernel  # noqa: E402
-
-_kernel.on_backend_change(_bind_backend)
+    _ckernel.configure_protocol(_CATEGORY, _CARRIES_DATA, (
+        GETS, GETM, UPGRADE, DATA, DATA_E, DATA_M, GRANT_M, INV_ACK,
+        FWD_GETS, DATA_C2C, UNBLOCK, RECALL_DATA, RECALL_ACK, WB_DATA,
+        EVICT_CLEAN))

@@ -24,7 +24,7 @@ from repro.mem import protocol as _protocol
 from repro.noc.messages import Message
 from repro.noc.traffic import TrafficMeter
 from repro.sim.config import CMPConfig
-from repro.sim.kernel import Simulator, compiled_impl
+from repro.sim.kernel import Simulator, compiled_for
 
 __all__ = ["Link", "Mesh"]
 
@@ -84,8 +84,8 @@ class Mesh:
         # core's link state is read back through the shared index formula
         # (see link_bytes).
         self._core = None
-        impl = compiled_impl()
-        if impl is not None and type(sim) is impl.Simulator:
+        impl = compiled_for(sim)
+        if impl is not None:
             traffic = self.traffic
             self._core = impl.MeshCore(
                 sim, config.mesh_width, config.mesh_height,

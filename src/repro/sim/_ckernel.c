@@ -11,10 +11,13 @@
  * goldens in tests/test_kernel_determinism.py.
  *
  * Also hosts the component-level accelerators named in the performance
- * notes: the protocol Message record + make_msg, the set-associative
- * TagArray, MeshCore (XY routing, link reservation and traffic
- * accounting for repro.noc.topology.Mesh) and L1Hit (the L1 controller
- * of repro.mem.l1).
+ * notes: the protocol Message record, the set-associative TagArray,
+ * MeshCore (XY routing, link reservation and traffic accounting for
+ * repro.noc.topology.Mesh) and L1Hit (the L1 controller of
+ * repro.mem.l1).  Components built on a compiled Simulator pick these
+ * at construction (repro.sim.kernel.compiled_for); Message records are
+ * built only in C, by the mesh core and the L1 controller, so a pure
+ * simulator never sees one.
  *
  * Events here are plain C structs recycled in place inside the queue
  * arrays, so the pure kernel's pooled-_Event free list has no analogue:
@@ -1535,7 +1538,7 @@ static PyTypeObject Simulator_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* Message + make_msg (repro.noc.messages / repro.mem.protocol)        */
+/* Message (repro.noc.messages), built only by ck_build_msg           */
 /* ------------------------------------------------------------------ */
 
 typedef struct {
@@ -1550,40 +1553,6 @@ typedef struct {
 } CMessage;
 
 static long long message_counter = 0;
-
-static int
-cmessage_init(CMessage *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"src", "dst", "kind", "category", "size_bytes",
-                             "payload", "msg_id", NULL};
-    long src, dst, size_bytes;
-    PyObject *kind, *category, *payload = Py_None, *msg_id_obj = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "llUOl|OO:Message", kwlist,
-                                     &src, &dst, &kind, &category,
-                                     &size_bytes, &payload, &msg_id_obj))
-        return -1;
-    if (size_bytes <= 0) {
-        PyErr_SetString(PyExc_ValueError, "message size must be positive");
-        return -1;
-    }
-    Py_INCREF(kind);
-    PyUnicode_InternInPlace(&kind);
-    self->src = src;
-    self->dst = dst;
-    Py_XSETREF(self->kind, kind);
-    Py_XSETREF(self->category, Py_NewRef(category));
-    self->size_bytes = size_bytes;
-    Py_XSETREF(self->payload, Py_NewRef(payload));
-    if (msg_id_obj != NULL && msg_id_obj != Py_None) {
-        long long mid = PyLong_AsLongLong(msg_id_obj);
-        if (mid == -1 && PyErr_Occurred())
-            return -1;
-        self->msg_id = mid;
-    }
-    else
-        self->msg_id = message_counter++;
-    return 0;
-}
 
 static PyObject *
 cmessage_repr(CMessage *self)
@@ -1638,11 +1607,8 @@ static PyTypeObject Message_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
     .tp_name = "repro.sim._ckernel.Message",
     .tp_basicsize = sizeof(CMessage),
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
-                | Py_TPFLAGS_BASETYPE,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "A single NoC message (compiled record).",
-    .tp_new = PyType_GenericNew,
-    .tp_init = (initproc)cmessage_init,
     .tp_dealloc = (destructor)cmessage_dealloc,
     .tp_traverse = (traverseproc)cmessage_traverse,
     .tp_clear = (inquiry)cmessage_clear,
@@ -1726,9 +1692,9 @@ ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
     }
     msg->src = src;
     msg->dst = dst;
-    /* interned like cmessage_init's, because the L1 controller matches
-     * kinds by pointer (for the interned protocol constants this only
-     * tests a flag) */
+    /* interned like the pure Message's, because the L1 controller
+     * matches kinds by pointer (for the interned protocol constants this
+     * only tests a flag) */
     msg->kind = Py_NewRef(kind);
     if (PyUnicode_CheckExact(msg->kind))
         PyUnicode_InternInPlace(&msg->kind);
@@ -1737,20 +1703,6 @@ ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
     msg->payload = pd;
     msg->msg_id = message_counter++;
     return (PyObject *)msg;
-}
-
-static PyObject *
-ck_make_msg(PyObject *mod, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"noc", "src", "dst", "kind", "line", "payload",
-                             NULL};
-    PyObject *noc, *kind, *line, *payload = Py_None;
-    long src, dst;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OllUO|O:make_msg", kwlist,
-                                     &noc, &src, &dst, &kind, &line,
-                                     &payload))
-        return NULL;
-    return ck_build_msg(noc, src, dst, kind, line, payload);
 }
 
 /* ------------------------------------------------------------------ */
@@ -2384,8 +2336,8 @@ cmesh_send(CMeshCore *self, PyObject *msg)
         category = m->category;
     }
     else {
-        /* a pure-Python Message constructed before the backend rebind;
-         * rare, but must route identically */
+        /* a pure-Python Message handed to send() directly (tests and
+         * hand-built traffic; the protocol path builds C records) */
         PyObject *o;
         if ((o = PyObject_GetAttrString(msg, "src")) == NULL)
             return NULL;
@@ -2954,7 +2906,8 @@ l1_unpack(PyObject *msg, PyObject **kind, PyObject **payload,
         *payload = Py_NewRef(((CMessage *)msg)->payload);
     }
     else {
-        /* a pure-Python Message, e.g. built by hand in a test */
+        /* a pure-Python Message handed to a handler directly, e.g. one
+         * built with repro.mem.protocol.make_msg in a test */
         *kind = PyObject_GetAttrString(msg, "kind");
         if (*kind == NULL)
             return -1;
@@ -3289,8 +3242,6 @@ static PyTypeObject L1Hit_Type = {
 static PyMethodDef ckernel_module_methods[] = {
     {"configure_protocol", (PyCFunction)ck_configure_protocol, METH_VARARGS,
      "Install the protocol kind->category map and data-carrying set."},
-    {"make_msg", (PyCFunction)ck_make_msg, METH_VARARGS | METH_KEYWORDS,
-     "Build a protocol Message (compiled repro.mem.protocol.make_msg)."},
     {NULL}
 };
 

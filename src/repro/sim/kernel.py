@@ -18,13 +18,14 @@ replicated by the C backend, which is held to the determinism goldens in
 Selection
 ---------
 
-The active backend is chosen at import time from the
+The default backend for new simulators comes from the
 ``REPRO_SIM_BACKEND`` environment variable (``pure`` | ``compiled`` |
-``auto``, default ``auto`` = compiled when built, else pure) and can be
-switched at runtime with :func:`set_backend` — the CLI's
-``repro-sim run --backend=...`` knob does exactly that.  Setting
-``REPRO_SIM_DISABLE_CEXT=1`` hides a built extension entirely, which is
-how the fallback path is exercised in tests without uninstalling it.
+``auto``, default ``auto`` = compiled when built, else pure), read the
+first time a default is needed, and can be switched at runtime with
+:func:`set_backend` — the CLI's ``repro-sim run --backend=...`` knob does
+exactly that.  Setting ``REPRO_SIM_DISABLE_CEXT=1`` hides a built
+extension entirely, which is how the fallback path is exercised in tests
+without uninstalling it.
 
 Because callers construct kernels via ``Simulator(...)`` /
 ``Signal(sim, ...)`` imported from this module, those names are exported
@@ -32,17 +33,18 @@ as *factories* that late-bind to the active backend; ``isinstance``
 checks against processes must use :data:`PROCESS_TYPES`, which covers
 both implementations.
 
-Component-level accelerators (the C ``TagArray``, ``Message`` and mesh
-core) follow the kernel backend: modules register a callback with
-:func:`on_backend_change` and rebind their hot-path helpers whenever the
-backend flips, so ``--backend=pure`` measures an honest all-Python
-configuration even when the extension is built.
+The simulator is the only place the backend is decided.  Components
+built on a simulator (the mesh, the caches and their tag arrays) ask
+:func:`compiled_for` once, at construction, and take the C ``MeshCore``,
+``TagArray`` and ``L1Hit`` only for a compiled simulator, so a pure
+simulator runs all-Python whatever the default was when the package was
+imported, and pure and compiled machines can share one process.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.sim import _kernel_pure as _pure
 from repro.sim._kernel_pure import SimDeadlockError, SimulationError
@@ -51,11 +53,11 @@ __all__ = [
     "Simulator", "Signal", "Process", "SimulationError", "SimDeadlockError",
     "BackendUnavailableError", "PROCESS_TYPES", "SIGNAL_TYPES",
     "active_backend", "available_backends", "set_backend",
-    "on_backend_change", "resolve_backend",
+    "compiled_for", "resolve_backend",
 ]
 
-#: environment knob consulted at import (and exported to worker processes
-#: by the CLI so process-pool runs inherit the selection)
+#: environment knob read when the default backend is first needed
+#: (worker processes inherit it with the rest of the environment)
 BACKEND_ENV = "REPRO_SIM_BACKEND"
 #: set to any non-empty value to pretend the C extension was never built
 DISABLE_ENV = "REPRO_SIM_DISABLE_CEXT"
@@ -81,8 +83,6 @@ if _ckernel is not None:
 PROCESS_TYPES = tuple(impl.Process for impl in _IMPLS.values())
 #: same for signals (waiter-list introspection in the sanitizer)
 SIGNAL_TYPES = tuple(impl.Signal for impl in _IMPLS.values())
-
-_listeners: List[Callable[[str], None]] = []
 
 
 def available_backends() -> List[str]:
@@ -110,37 +110,33 @@ def resolve_backend(name: str) -> str:
     return name
 
 
-_active = resolve_backend(os.environ.get(BACKEND_ENV, "auto") or "auto")
+#: the default backend; None until first needed, so a bad
+#: ``REPRO_SIM_BACKEND`` surfaces where it is used, not at import
+_active: Optional[str] = None
 
 
 def active_backend() -> str:
-    """The backend new :func:`Simulator` instances will use."""
+    """The backend new :func:`Simulator` instances will use.
+
+    Raises like :func:`resolve_backend` when ``REPRO_SIM_BACKEND`` names
+    a backend that is unknown or not built.
+    """
+    global _active
+    if _active is None:
+        _active = resolve_backend(os.environ.get(BACKEND_ENV, "auto")
+                                  or "auto")
     return _active
 
 
-def on_backend_change(callback: Callable[[str], None]) -> None:
-    """Register ``callback(backend_name)``, invoked now and on each switch.
-
-    Used by component modules (messages, caches, mesh) to rebind their
-    accelerated helpers so they always match the kernel backend.
-    """
-    _listeners.append(callback)
-    callback(_active)
-
-
 def set_backend(name: str) -> str:
-    """Switch the active backend; returns the concrete backend selected.
+    """Set the default backend; returns the concrete backend selected.
 
-    Existing simulators keep their implementation; only subsequently
-    constructed ones (and the component helper bindings) change.
+    Existing simulators, and every component built on them, keep their
+    implementation; only subsequently constructed simulators change.
     """
     global _active
-    concrete = resolve_backend(name)
-    if concrete != _active:
-        _active = concrete
-        for callback in _listeners:
-            callback(concrete)
-    return concrete
+    _active = resolve_backend(name)
+    return _active
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +144,7 @@ def set_backend(name: str) -> str:
 # --------------------------------------------------------------------- #
 def Simulator(profile=None):
     """Construct an event kernel using the active backend."""
-    return _IMPLS[_active].Simulator(profile=profile)
+    return _IMPLS[active_backend()].Simulator(profile=profile)
 
 
 def Signal(sim, name: str = ""):
@@ -161,10 +157,13 @@ def Process(sim, gen, name: Optional[str] = None):
     return sim.spawn(gen, name=name or "")
 
 
-def compiled_impl():
-    """The compiled backend module, or ``None`` when not built.
+def compiled_for(sim):
+    """The compiled backend module if ``sim`` is a compiled simulator.
 
-    Component modules (e.g. the mesh) use this to reach the C helper
-    types (``MeshCore``, ``TagArray``) that have no pure counterpart.
+    ``None`` for a pure simulator.  Components built on ``sim`` call this
+    once, at construction, to reach the C helper types (``MeshCore``,
+    ``TagArray``, ``L1Hit``) that only run on the compiled kernel.
     """
-    return _ckernel
+    if _ckernel is not None and type(sim) is _ckernel.Simulator:
+        return _ckernel
+    return None

@@ -96,8 +96,16 @@ def test_second_outstanding_miss_error(backend):
                       "(cores are in-order)")
 
 
-def test_tag_array_error_texts(backend):
-    tags = cache.TagArray(CMPConfig.baseline(4).l1)
+@pytest.mark.parametrize("impl", ["pure", "compiled"])
+def test_tag_array_error_texts(impl):
+    if impl not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    if impl == "pure":
+        cls = cache.TagArray
+    else:
+        from repro.sim import _ckernel
+        cls = _ckernel.TagArray
+    tags = cls(CMPConfig.baseline(4).l1)
     line = 0x10040
     assert _raised(lambda: tags.set_state(line, "M")) == (
         KeyError, repr(f"line {line:#x} not resident"))

@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 from repro.mem.address import AddressSpace, WORD_BYTES, home_of, line_of
 from repro.mem.backing import BackingStore
 from repro.mem.cache import TagArray
+from repro.sim import kernel
 from repro.sim.config import CacheConfig
+
+#: every TagArray implementation built here: the pure class and, when the
+#: extension is built, the C one compiled simulators use.  Each tag-array
+#: test runs its body on all of them.
+TAG_ARRAYS = [TagArray]
+if "compiled" in kernel.available_backends():
+    from repro.sim import _ckernel
+
+    TAG_ARRAYS.append(_ckernel.TagArray)
 
 
 # --------------------------------------------------------------------- #
@@ -85,79 +95,87 @@ def test_backing_unaligned_rejected():
 # --------------------------------------------------------------------- #
 # tag array
 # --------------------------------------------------------------------- #
-def small_tags(ways=2, sets=4):
-    return TagArray(CacheConfig(ways * sets * 64, ways, 64, 1))
+def small_tags(cls, ways=2, sets=4):
+    return cls(CacheConfig(ways * sets * 64, ways, 64, 1))
 
 
 def test_tagarray_insert_lookup():
-    t = small_tags()
-    assert t.lookup(0) is None
-    t.insert(0, "S")
-    assert t.lookup(0) == "S"
-    t.set_state(0, "M")
-    assert t.lookup(0) == "M"
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls)
+        assert t.lookup(0) is None
+        t.insert(0, "S")
+        assert t.lookup(0) == "S"
+        t.set_state(0, "M")
+        assert t.lookup(0) == "M"
 
 
 def test_tagarray_lru_eviction():
-    t = small_tags(ways=2, sets=4)
     set_stride = 4 * 64  # lines mapping to set 0
-    t.insert(0 * set_stride, "A")
-    t.insert(1 * set_stride, "B")
-    t.touch(0 * set_stride)  # A becomes MRU
-    victim = t.insert(2 * set_stride, "C")
-    assert victim == (1 * set_stride, "B")
-    assert t.lookup(0) == "A" and t.lookup(2 * set_stride) == "C"
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls, ways=2, sets=4)
+        t.insert(0 * set_stride, "A")
+        t.insert(1 * set_stride, "B")
+        t.touch(0 * set_stride)  # A becomes MRU
+        victim = t.insert(2 * set_stride, "C")
+        assert victim == (1 * set_stride, "B")
+        assert t.lookup(0) == "A" and t.lookup(2 * set_stride) == "C"
 
 
 def test_tagarray_may_evict_skips_held_lines():
-    t = small_tags(ways=2, sets=4)
     stride = 4 * 64
-    t.insert(0 * stride, "A")
-    t.insert(1 * stride, "B")
-    victim = t.insert(2 * stride, "C", may_evict=lambda line: line == 1 * stride)
-    assert victim == (1 * stride, "B")
-    # now both A and C are unevictable -> set over-fills
-    victim = t.insert(3 * stride, "D", may_evict=lambda line: False)
-    assert victim is None
-    assert t.occupancy() == 3
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls, ways=2, sets=4)
+        t.insert(0 * stride, "A")
+        t.insert(1 * stride, "B")
+        victim = t.insert(2 * stride, "C",
+                          may_evict=lambda line: line == 1 * stride)
+        assert victim == (1 * stride, "B")
+        # now both A and C are unevictable -> set over-fills
+        victim = t.insert(3 * stride, "D", may_evict=lambda line: False)
+        assert victim is None
+        assert t.occupancy() == 3
 
 
 def test_tagarray_double_insert_rejected():
-    t = small_tags()
-    t.insert(0, "S")
-    with pytest.raises(KeyError):
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls)
         t.insert(0, "S")
+        with pytest.raises(KeyError):
+            t.insert(0, "S")
 
 
 def test_tagarray_set_state_absent_rejected():
-    t = small_tags()
-    with pytest.raises(KeyError):
-        t.set_state(0, "M")
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls)
+        with pytest.raises(KeyError):
+            t.set_state(0, "M")
 
 
 def test_tagarray_invalidate():
-    t = small_tags()
-    t.insert(0, "S")
-    assert t.invalidate(0) == "S"
-    assert t.invalidate(0) is None
-    assert t.lookup(0) is None
+    for cls in TAG_ARRAYS:
+        t = small_tags(cls)
+        t.insert(0, "S")
+        assert t.invalidate(0) == "S"
+        assert t.invalidate(0) is None
+        assert t.lookup(0) is None
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
 def test_tagarray_occupancy_never_exceeds_capacity(line_ids):
     cfg = CacheConfig(2 * 4 * 64, 2, 64, 1)
-    t = TagArray(cfg)
-    for lid in line_ids:
-        line = lid * 64
-        if t.lookup(line) is None:
-            t.insert(line, "S")
-        else:
-            t.touch(line)
-    assert t.occupancy() <= cfg.n_lines
-    # every resident line is findable
-    for line in t.resident_lines():
-        assert t.lookup(line) == "S"
+    for cls in TAG_ARRAYS:
+        t = cls(cfg)
+        for lid in line_ids:
+            line = lid * 64
+            if t.lookup(line) is None:
+                t.insert(line, "S")
+            else:
+                t.touch(line)
+        assert t.occupancy() <= cfg.n_lines
+        # every resident line is findable
+        for line in t.resident_lines():
+            assert t.lookup(line) == "S"
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,10 +2,13 @@
 
 The compiled backend (``repro.sim._ckernel``) must be bit-identical to
 the pure kernel: a determinism-golden subset is replayed here under each
-backend explicitly (skip-if-uncompiled), and the CLI knobs that expose
-the selection (``--backend``, ``--list-backends``) are exercised
-end-to-end, including the exit-2 one-liner when ``--backend=compiled``
-is requested on a machine without the extension.
+backend explicitly (skip-if-uncompiled).  Components follow the
+simulator they are built on: a pure run in a process whose default was
+compiled stays all-Python, and pure and compiled machines coexist.  The
+CLI knobs that expose the selection (``--backend``, ``--list-backends``,
+``REPRO_SIM_BACKEND``) are exercised end-to-end, including the exit-2
+one-liner for an unknown backend or a compiled one on a machine without
+the extension.
 """
 
 import json
@@ -15,10 +18,15 @@ import sys
 
 import pytest
 
+from repro.machine import Machine
+from repro.mem.cache import TagArray
+from repro.noc import messages
+from repro.noc.topology import Mesh
 from repro.runner.engine import execute_spec
 from repro.runner.fingerprint import result_fingerprint
 from repro.runner.spec import RunSpec
 from repro.sim import kernel
+from repro.workloads import make_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                            "determinism_golden.json")
@@ -68,6 +76,76 @@ def test_golden_fingerprints_identical_across_backends(backend, entry):
 
 
 # --------------------------------------------------------------------- #
+# components follow the simulator they are built on
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def compiled_default():
+    """The compiled backend as the process default (restored after)."""
+    if "compiled" not in kernel.available_backends():
+        pytest.skip("compiled backend not built on this machine")
+    prev = kernel.active_backend()
+    kernel.set_backend("compiled")
+    yield
+    kernel.set_backend(prev)
+
+
+def test_pure_switch_in_compiled_process_runs_all_python(
+        compiled_default, monkeypatch):
+    """After set_backend("pure"), nothing compiled leaks into a run."""
+    sent, machines = [], []
+    pure_send, from_spec = Mesh.send, Machine.from_spec
+
+    def send(mesh, msg):
+        sent.append(type(msg))
+        return pure_send(mesh, msg)
+
+    def capture(spec):
+        machines.append(from_spec(spec))
+        return machines[-1]
+
+    monkeypatch.setattr(Mesh, "send", send)
+    monkeypatch.setattr(Machine, "from_spec", capture)
+    kernel.set_backend("pure")
+    entry = GOLDEN[0]
+    run = execute_spec(RunSpec.from_dict(entry["spec"]))
+    assert result_fingerprint(run.result) == entry["result_fingerprint"]
+    assert sent and set(sent) == {messages.Message}
+    mem = machines[0].mem
+    assert mem.mesh._core is None
+    assert {type(c.tags) for c in mem.l1s + mem.l2s} == {TagArray}
+
+
+def _built(entry):
+    spec = RunSpec.from_dict(entry["spec"])
+    assert not spec.workload_params and not spec.seed
+    machine = Machine.from_spec(spec.machine)
+    instance = make_workload(spec.workload, scale=spec.scale).instantiate(
+        machine, hc_kind=spec.hc_kind, other_kind=spec.other_kind,
+        hc_kinds=spec.hc_kinds)
+    return machine, instance
+
+
+def _run_built(machine, instance, entry):
+    result = machine.run(instance.programs)
+    instance.validate(machine)
+    assert result_fingerprint(result) == entry["result_fingerprint"]
+
+
+def test_compiled_and_pure_machines_interleave(compiled_default):
+    """Each machine keeps the backend it was built on, whatever the
+    process default is when it runs."""
+    entry = GOLDEN[0]
+    compiled = _built(entry)
+    kernel.set_backend("pure")
+    pure = _built(entry)
+    assert compiled[0].mem.mesh._core is not None
+    assert pure[0].mem.mesh._core is None
+    _run_built(*compiled, entry)     # runs while the default is pure
+    kernel.set_backend("compiled")
+    _run_built(*pure, entry)         # runs while the default is compiled
+
+
+# --------------------------------------------------------------------- #
 # selection API
 # --------------------------------------------------------------------- #
 def test_active_backend_is_available():
@@ -99,11 +177,13 @@ def test_set_backend_round_trip():
 # --------------------------------------------------------------------- #
 # CLI knobs (subprocess: backend availability is a process-level fact)
 # --------------------------------------------------------------------- #
-def _cli(args, disable_cext=False):
+def _cli(args, disable_cext=False, backend_env=None):
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(
                    [SRC] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
     env.pop("REPRO_SIM_BACKEND", None)
+    if backend_env is not None:
+        env["REPRO_SIM_BACKEND"] = backend_env
     if disable_cext:
         env["REPRO_SIM_DISABLE_CEXT"] = "1"
     else:
@@ -116,11 +196,27 @@ def _cli(args, disable_cext=False):
 def test_cli_backend_compiled_exits_2_when_extension_absent():
     proc = _cli(["run", "--workload", "sctr", "--lock", "glock",
                  "--backend", "compiled"], disable_cext=True)
+    _assert_one_line_error(proc, "not built")
+
+
+def _assert_one_line_error(proc, text):
     assert proc.returncode == 2
     lines = [l for l in proc.stderr.splitlines() if l.strip()]
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error:")
-    assert "not built" in lines[0]
+    assert text in lines[0]
+
+
+def test_cli_unknown_backend_env_exits_2():
+    proc = _cli(["run", "--workload", "sctr", "--lock", "glock"],
+                backend_env="jit")
+    _assert_one_line_error(proc, "unknown simulator backend 'jit'")
+
+
+def test_cli_compiled_backend_env_exits_2_when_extension_absent():
+    proc = _cli(["run", "--workload", "sctr", "--lock", "glock"],
+                disable_cext=True, backend_env="compiled")
+    _assert_one_line_error(proc, "not built")
 
 
 def test_cli_list_backends_marks_auto_resolution():
