@@ -2,25 +2,26 @@
 
 The :class:`~repro.runner.engine.Engine` owns *what* to run (memo and
 disk-cache misses) and the bookkeeping of results; a backend owns *how*
-the remaining specs execute:
+the remaining specs execute, and supplies only three things: an
+executor, its slot count and the way to kill it.
 
-- :class:`InlineBackend` — in this process, one spec at a time (the
-  classic ``jobs=1`` path);
-- :class:`ProcessPoolBackend` — fanned over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; its ``execute`` is
-  the package's only process-pool loop (see below);
-- :class:`~repro.runner.remote.RemoteBackend` — socket-protocol workers
-  started with ``repro-sim worker``, sharing the digest-keyed result
-  cache (lives in :mod:`repro.runner.remote`).
+- :class:`InlineBackend` — an :class:`InlineExecutor` running each spec
+  in this process as it is submitted (1 slot; the classic ``jobs=1``);
+- :class:`ProcessPoolBackend` — a
+  :class:`~concurrent.futures.ProcessPoolExecutor` (``jobs`` slots);
+- :class:`~repro.runner.remote.RemoteBackend` — a
+  :class:`~repro.runner.remote.RemoteExecutor` over socket-protocol
+  workers started with ``repro-sim worker`` (one slot per worker).
 
-Every backend lands results through the same hooks, so caching, the
-campaign supervisor's outcome taxonomy, retries and manifests behave
-identically whichever backend executes:
+:meth:`ExecutionBackend.execute` is the package's one execution loop;
+it drives any :class:`~concurrent.futures.Executor` and lands results
+through the same hooks, so caching, retries, the campaign supervisor's
+outcome taxonomy and manifests behave identically on every backend:
 
 ``execute(todo, engine, *, land=None, fail=None, tick=None, policy=None)``
 
 - ``land(digest, run)`` — a result arrived; the default commits it to
-  the engine's memo/disk cache.  Backends call it the moment a result
+  the engine's memo/disk cache.  The loop calls it the moment a result
   lands (never batched at the end), so an abort later in the batch can
   never discard finished, cacheable work.
 - ``fail(digest, exc)`` — a spec exhausted its retry budget; the
@@ -29,19 +30,24 @@ identically whichever backend executes:
   outcome instead and the batch keeps going.
 - ``tick()`` — polled between scheduling steps so a supervising caller
   can checkpoint and raise on SIGINT/SIGTERM.
-- ``policy`` — a :class:`PoolPolicy` steering how the process pool
-  reacts to worker trouble; backends without local workers ignore it.
+- ``policy`` — a :class:`PoolPolicy`, told of every retry and asked how
+  to react to executor trouble.
 
-The pool loop does all of the mechanics once: submission within the
-policy's admission window, a per-submission deadline (with the
-``cancel()`` race handled), landing of finished survivors when the pool
-dies, kill-and-rebuild, and **solo re-runs of pool-death victims** — a
+The loop does all of the mechanics once: submission within the policy's
+admission window, the retry budget (each charged attempt is logged as a
+``[retries]`` warning; an :class:`Unretryable` failure is settled at
+once, uncharged), a per-run deadline counted from the moment the run
+starts, landing of finished survivors when the pool dies,
+kill-and-rebuild, and **solo re-runs of pool-death victims** — a
 ``BrokenProcessPool`` cannot say which spec killed its worker, so every
 spec lost with the pool is re-run alone, where blame is unambiguous.
 The policy only decides: the bare engine's default charges a solo kill
 one retry attempt, while the campaign
 :class:`~repro.runner.supervisor.Supervisor` counts kills toward
-quarantine, backs off, and sheds or heals the admission window.
+quarantine, backs off, and sheds or heals the admission window.  Only a
+pool dies as a whole or is killed for one overrun: a remote spec past
+its deadline is cancelled alone, and an inline future is finished
+before ``submit`` returns.
 """
 
 from __future__ import annotations
@@ -51,24 +57,24 @@ import signal as _signal
 import sys
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Executor,
+                                Future, ProcessPoolExecutor, wait)
 from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Tuple
 
 log = logging.getLogger("repro.runner")
 
 __all__ = [
     "BACKEND_NAMES", "CHARGE", "ExecutionBackend", "InlineBackend",
-    "PoolPolicy", "ProcessPoolBackend", "RERUN", "SETTLE", "drain_finished",
-    "expire_deadlines", "kill_workers", "make_backend", "new_pool",
-    "pool_worker_init",
+    "InlineExecutor", "PoolPolicy", "ProcessPoolBackend", "RERUN", "SETTLE",
+    "Unretryable", "drain_finished", "expire_deadlines", "kill_workers",
+    "make_backend", "new_pool", "pool_worker_init",
 ]
 
 #: the names ``make_backend`` (and the CLI ``--backend`` flag) accept
 BACKEND_NAMES = ("auto", "inline", "process-pool", "remote")
 
-#: longest the pool loop blocks while a ``tick`` hook is polled
+#: longest the execution loop blocks while a ``tick`` hook is polled
 #: (seconds): bounds how late a SIGINT/SIGTERM checkpoint can be
 POLL_INTERVAL = 0.1
 
@@ -95,13 +101,7 @@ def pool_worker_init() -> None:
 
 
 def new_pool(max_workers: int) -> ProcessPoolExecutor:
-    """A pool whose workers restore default signal dispositions.
-
-    Workers are forked from the campaign process, so they inherit any
-    SIGINT/SIGTERM checkpoint handlers the supervisor installed — which
-    would shield a hung worker from ``terminate()``.  The initializer
-    puts the defaults back.
-    """
+    """A pool whose workers restore default signal dispositions."""
     return ProcessPoolExecutor(max_workers=max_workers,
                                initializer=pool_worker_init)
 
@@ -153,10 +153,10 @@ def expire_deadlines(inflight: Dict[object, str],
     """Pop the in-flight futures whose deadline passed by ``now``.
 
     Returns ``(expired, stuck)`` digests: every expired spec owes a
-    timeout charge, and ``stuck`` lists those a worker was still running
-    (the pool must be killed to free it).  A future that completes in
-    the race with ``cancel()`` is not expired: it stays in flight for
-    the next collection, so its result is never discarded.
+    timeout charge; ``stuck`` ones refused to cancel (the executor must
+    be killed to free them).  A future not yet started has no deadline
+    (``None``); one that completes in the race with ``cancel()`` stays in
+    flight for the next collection, so its result is never discarded.
     """
     expired: List[str] = []
     stuck: List[str] = []
@@ -175,79 +175,11 @@ def expire_deadlines(inflight: Dict[object, str],
 
 
 # ---------------------------------------------------------------------- #
-# the backend interface
+# the backend interface and its one execution loop
 # ---------------------------------------------------------------------- #
-class ExecutionBackend:
-    """Executes a batch of cache-miss specs on behalf of an engine.
-
-    Subclasses implement :meth:`execute`; the engine and the campaign
-    supervisor parameterize result landing, failure handling and pool
-    policy through the ``land``/``fail``/``tick``/``policy`` hooks
-    documented in the module docstring.
-    """
-
-    #: stable identity, reported in ``Engine.summary()`` and manifests
-    name = "abstract"
-
-    def execute(self, todo: Dict[str, object], engine, *,
-                land: Optional[LandFn] = None,
-                fail: Optional[FailFn] = None,
-                tick: Optional[TickFn] = None,
-                policy: Optional["PoolPolicy"] = None) -> Dict[str, object]:
-        """Run every spec in ``todo`` (digest -> spec); return landed runs.
-
-        The returned dict maps digest -> result for the specs that
-        landed; with the default ``fail`` the first exhausted spec
-        raises :class:`~repro.runner.engine.RunFailure` instead.
-        """
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (connections, pools).  Idempotent."""
-
-    def describe(self) -> str:
-        """Human-readable identity for logs and summaries."""
-        return self.name
-
-
-def _default_fail(todo: Dict[str, object]):
-    from repro.runner.engine import RunFailure
-
-    def fail(digest: str, exc: BaseException) -> None:
-        raise RunFailure(todo[digest], exc) from exc
-    return fail
-
-
-class InlineBackend(ExecutionBackend):
-    """Execute specs serially in the calling process.
-
-    The per-run ``timeout`` cannot be enforced here (there is no worker
-    to kill); the engine emits its one-time ``RuntimeWarning`` when a
-    timeout is configured but a batch executes inline.
-    """
-
-    name = "inline"
-
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None,
-                policy=None):
-        from repro.runner.engine import RunFailure
-        out: Dict[str, object] = {}
-        commit = land if land is not None else engine._commit
-        settle_fail = fail if fail is not None else _default_fail(todo)
-        for digest, spec in todo.items():
-            if tick is not None:
-                tick()
-            try:
-                run = engine._execute_with_retry(spec)
-            except RunFailure as failure:
-                cause = failure.cause if failure.cause is not None else failure
-                settle_fail(digest, cause)
-            else:
-                # commit as results land, so an abort later in the
-                # batch never discards finished (cacheable) work
-                commit(digest, run)
-                out[digest] = run
-        return out
+class Unretryable(Exception):
+    """An executor error no retry can cure (it can run nothing more):
+    the loop fails the spec at once, charging no retry attempt."""
 
 
 #: :meth:`PoolPolicy.solo_kill` verdicts for a spec that killed its
@@ -257,16 +189,16 @@ CHARGE, RERUN, SETTLE = "charge", "rerun", "settle"
 
 
 class PoolPolicy:
-    """How :meth:`ProcessPoolBackend.execute` reacts to worker trouble.
+    """How :meth:`ExecutionBackend.execute` reacts to executor trouble.
 
     The defaults are the bare engine's: admission is capped only by the
-    pool size, a spec that kills its worker while running alone costs
-    one retry attempt like any other failure, and nothing is counted.
-    The campaign :class:`~repro.runner.supervisor.Supervisor` is a
-    policy too: it overrides every hook.
+    backend's slot count, a spec that kills its worker while running
+    alone costs one retry attempt like any other failure, and nothing is
+    counted.  The campaign :class:`~repro.runner.supervisor.Supervisor`
+    is a policy too: it overrides every hook.
     """
 
-    #: most specs admitted to the pool at once (the pool size caps it)
+    #: most specs admitted at once (the backend's slot count caps it)
     window: int = sys.maxsize
 
     def retrying(self, digest: str, exc: BaseException) -> None:
@@ -277,50 +209,65 @@ class PoolPolicy:
         return CHARGE
 
     def pool_died(self, victims: List[str], exc: BaseException) -> None:
-        """The pool died under ``victims``; called before the rebuild."""
+        """The executor died under ``victims``; called before the rebuild."""
 
     def timeout_killed(self, stuck: List[str]) -> None:
-        """Workers stuck on ``stuck`` were killed; the pool is rebuilt."""
+        """The executor stuck on ``stuck`` was killed; it is rebuilt."""
 
 
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan specs over a process pool; results commit as they land.
+class ExecutionBackend:
+    """Executes a batch of cache-miss specs on behalf of an engine.
 
-    Collection waits for the *first* completion, so one slow or hung
-    spec never head-of-line-blocks the other N-1 results.  Each
-    (re)submission gets its own wall-clock deadline measured from
-    submission; a resubmission therefore starts a *fresh* budget, which
-    is logged as a ``[retries]`` warning rather than happening silently.
-    A worker stuck past its deadline is charged a timeout and the pool
-    is rebuilt, resubmitting the other in-flight specs free of charge.
-    Pool deaths are isolated as the module docstring describes; the
-    failure of a spec under isolation is reported only after the other
-    victims have had their solo run, so an abort never discards
-    innocent work.
-
-    Args:
-        jobs: worker processes; ``None`` uses the engine's ``jobs``.
+    Subclasses supply :meth:`slots`, :meth:`executor` and, when shutting
+    the executor down is not enough, :meth:`kill`; :meth:`execute` is
+    the loop that drives them.  Collection waits for the *first*
+    completion, so one slow or hung spec never head-of-line-blocks the
+    others.  Each (re)submission gets a fresh wall-clock deadline from
+    the moment its future starts running.  A spec past it is charged a
+    timeout and cancelled; an executor that cannot cancel a running spec
+    (a process pool) is killed and rebuilt, resubmitting the other
+    in-flight specs free of charge.  The failure of a spec isolated after
+    an executor death is reported only after the other victims have had
+    their solo run, so an abort never discards innocent work.
     """
 
-    name = "process-pool"
+    #: stable identity, reported in ``Engine.summary()`` and manifests
+    name = "abstract"
 
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
+    def slots(self, engine) -> int:
+        """Most specs this backend runs at once for ``engine``."""
+        raise NotImplementedError
 
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None,
-                policy=None):
+    def executor(self, engine, slots: int) -> Executor:
+        """A fresh executor for a batch of at most ``slots`` at once."""
+        raise NotImplementedError
+
+    def kill(self, executor: Executor) -> None:
+        """Stop ``executor`` now; whatever it still runs is abandoned."""
+        executor.shutdown(wait=False, cancel_futures=True)
+
+    def execute(self, todo: Dict[str, object], engine, *,
+                land: Optional[LandFn] = None,
+                fail: Optional[FailFn] = None,
+                tick: Optional[TickFn] = None,
+                policy: Optional[PoolPolicy] = None) -> Dict[str, object]:
+        """Run every spec in ``todo`` (digest -> spec); return landed runs.
+
+        The returned dict maps digest -> result for the specs that
+        landed; with the default ``fail`` the first exhausted spec
+        raises :class:`~repro.runner.engine.RunFailure` instead.
+        """
+        from repro.runner.engine import RunFailure
         out: Dict[str, object] = {}
         commit = land if land is not None else engine._commit
-        on_exhausted = fail if fail is not None else _default_fail(todo)
         policy = policy if policy is not None else PoolPolicy()
-        jobs = self.jobs if self.jobs is not None else engine.jobs
-        max_workers = min(max(1, jobs), len(todo))
+        slots = min(max(1, self.slots(engine)), len(todo))
         timeout = engine.timeout
-        pool = new_pool(max_workers)
+        budget = (f" with a fresh {timeout}s budget" if timeout is not None
+                  else "")
+        pool = self.executor(engine, slots)
         queue = deque(todo)                # digests awaiting a shared run
-        suspects: deque = deque()          # pool-death victims, run alone
+        suspects: deque = deque()          # death victims, run alone
         isolated: set = set()              # every digest ever a suspect
         condemned: List[Tuple[str, BaseException]] = []
         inflight: Dict[object, str] = {}   # future -> digest
@@ -333,32 +280,34 @@ class ProcessPoolBackend(ExecutionBackend):
 
         def give_up(digest: str, exc: BaseException) -> None:
             if digest in isolated and (suspects or inflight):
-                # other victims of a pool death are still owed their
-                # solo run; report this failure once they have had it
+                # other victims of an executor death are still owed
+                # their solo run; report this failure once they have had it
                 condemned.append((digest, exc))
                 return
             engine.stats.failures += 1
-            on_exhausted(digest, exc)
+            if fail is None:
+                raise RunFailure(todo[digest], exc) from exc
+            fail(digest, exc)
 
         def retry_or_fail(digest: str, exc: BaseException) -> None:
             attempts[digest] += 1
-            if attempts[digest] > engine.retries:
+            if attempts[digest] > engine.retries or isinstance(exc,
+                                                               Unretryable):
                 give_up(digest, exc)
                 return
             engine.stats.retries += 1
             policy.retrying(digest, exc)
-            log.warning(
-                "[retries] resubmitting %s (%s) attempt %d/%d with a "
-                "fresh %ss budget after %r", digest[:12],
-                todo[digest].describe(), attempts[digest] + 1,
-                engine.retries + 1, timeout, exc)
+            log.warning("[retries] resubmitting %s (%s) attempt %d/%d%s "
+                        "after %r", digest[:12], todo[digest].describe(),
+                        attempts[digest] + 1, engine.retries + 1, budget,
+                        exc)
             (suspects if digest in isolated else queue).append(digest)
 
-        def pool_death(lost: List[str], exc: BaseException) -> None:
+        def executor_death(lost: List[str], exc: BaseException) -> None:
             nonlocal pool
             # siblings that finished before the death keep their results
             victims = lost + drain_finished(inflight, deadlines, settle)
-            kill_workers(pool)
+            self.kill(pool)
             policy.pool_died(victims, exc)
             isolated.update(victims)
             if len(victims) == 1:
@@ -374,7 +323,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 log.info("[engine] pool died under %d specs; re-running "
                          "each alone", len(victims))
                 suspects.extend(victims)
-            pool = new_pool(max_workers)
+            pool = self.executor(engine, slots)
 
         try:
             while queue or suspects or inflight or condemned:
@@ -386,25 +335,31 @@ class ProcessPoolBackend(ExecutionBackend):
                 # the shared queue drains first; suspects then run one at
                 # a time with nothing else in flight
                 source = queue if queue else suspects
-                limit = (min(policy.window, max_workers) if queue
+                limit = (min(policy.window, slots) if queue
                          else 0 if inflight else 1)
                 while source and len(inflight) < limit:
                     digest = source.popleft()
                     try:
                         future = pool.submit(engine._execute_fn, todo[digest])
-                    except BrokenProcessPool as exc:
-                        # the pool died between waits; this spec never ran
+                    except BrokenExecutor as exc:
+                        # the executor died between waits; this spec never ran
                         source.appendleft(digest)
-                        pool_death([], exc)
+                        executor_death([], exc)
                         break
                     inflight[future] = digest
-                    deadlines[future] = (time.monotonic() + timeout
-                                         if timeout is not None else None)
+                    deadlines[future] = None    # set once the run starts
                 if not inflight:
                     continue
                 wait_for = POLL_INTERVAL if tick is not None else None
                 if timeout is not None:
-                    left = max(0.0, min(deadlines.values()) - time.monotonic())
+                    # a deadline starts with its run: poll for the rest
+                    now = time.monotonic()
+                    for future, deadline in deadlines.items():
+                        if deadline is None and future.running():
+                            deadlines[future] = now + timeout
+                    left = min(POLL_INTERVAL if deadline is None
+                               else max(0.0, deadline - now)
+                               for deadline in deadlines.values())
                     wait_for = left if wait_for is None else min(wait_for,
                                                                  left)
                 done, _ = wait(set(inflight), timeout=wait_for,
@@ -420,13 +375,13 @@ class ProcessPoolBackend(ExecutionBackend):
                     exc = future.exception()
                     if exc is None:
                         settle(digest, future.result())
-                    elif isinstance(exc, BrokenProcessPool):
+                    elif isinstance(exc, BrokenExecutor):
                         broken = exc
                         lost.append(digest)
                     else:
                         retry_or_fail(digest, exc)
                 if broken is not None:
-                    pool_death(lost, broken)
+                    executor_death(lost, broken)
                     continue
                 if timeout is None or not inflight:
                     continue
@@ -436,13 +391,15 @@ class ProcessPoolBackend(ExecutionBackend):
                 for digest in expired:
                     retry_or_fail(digest, cause)
                 if stuck:
-                    # stuck workers hold the pool hostage: kill it and
-                    # resubmit the innocent in-flight specs (a rebuild
-                    # casualty, not a retry — fresh deadline, no charge)
+                    # a run the executor could not cancel holds its slot
+                    # hostage: kill the executor and resubmit the
+                    # innocent in-flight specs
+                    # (a rebuild casualty, not a retry — fresh deadline,
+                    # no charge)
                     innocents = list(inflight.values())
                     inflight.clear()
                     deadlines.clear()
-                    kill_workers(pool)
+                    self.kill(pool)
                     policy.timeout_killed(stuck)
                     if innocents:
                         log.info(
@@ -450,12 +407,76 @@ class ProcessPoolBackend(ExecutionBackend):
                             "after killing workers stuck on %s",
                             len(innocents), ",".join(d[:12] for d in stuck))
                     queue.extendleft(innocents)
-                    pool = new_pool(max_workers)
+                    pool = self.executor(engine, slots)
         finally:
-            # terminate rather than join: a stuck or half-dead worker must
+            # kill rather than join: a stuck or half-dead worker must
             # never be able to hang shutdown
-            kill_workers(pool)
+            self.kill(pool)
         return out
+
+    def close(self) -> None:
+        """Release backend resources (connections, pools).  Idempotent."""
+
+
+class InlineExecutor(Executor):
+    """Runs each submission in the calling thread before returning.
+
+    ``submit`` hands back an already-finished future: an ``Exception``
+    raised by the run becomes the future's exception, while a
+    ``BaseException`` such as ``KeyboardInterrupt`` or
+    :class:`~repro.runner.supervisor.CampaignInterrupted` propagates.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            result = fn(*args, **kwargs)
+        except Exception as exc:
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+        return future
+
+
+class InlineBackend(ExecutionBackend):
+    """Execute specs serially in the calling process.
+
+    The per-run ``timeout`` cannot be enforced here (there is no worker
+    to kill); the engine emits its one-time ``RuntimeWarning`` when a
+    timeout is configured but a batch executes inline.
+    """
+
+    name = "inline"
+
+    def slots(self, engine) -> int:
+        return 1
+
+    def executor(self, engine, slots: int) -> Executor:
+        return InlineExecutor()
+
+
+class ProcessPoolBackend(ExecutionBackend):
+    """Fan specs over a process pool; results commit as they land.
+
+    Args:
+        jobs: worker processes; ``None`` uses the engine's ``jobs``.
+    """
+
+    name = "process-pool"
+
+    def __init__(self, jobs: Optional[int] = None) -> None:
+        if jobs is not None and jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = jobs
+
+    def slots(self, engine) -> int:
+        return self.jobs if self.jobs is not None else engine.jobs
+
+    def executor(self, engine, slots: int) -> Executor:
+        return new_pool(slots)
+
+    def kill(self, executor: Executor) -> None:
+        kill_workers(executor)
 
 
 def make_backend(name: str, *, jobs: Optional[int] = None,

@@ -233,10 +233,6 @@ class Engine:
         """Drop the in-process memo (the disk cache is untouched)."""
         self._memo.clear()
 
-    def reset_stats(self) -> None:
-        """Zero all counters."""
-        self.stats = EngineStats()
-
     def close(self) -> None:
         """Release the backend's resources (remote connections, pools)."""
         if self.backend is not None:
@@ -294,15 +290,3 @@ class Engine:
     def _notify(self, digest: str, run: BenchmarkRun) -> None:
         for observer in self.observers:
             observer(digest, run)
-
-    def _execute_with_retry(self, spec: RunSpec) -> BenchmarkRun:
-        last: BaseException
-        for attempt in range(self.retries + 1):
-            try:
-                return self._execute_fn(spec)
-            except Exception as exc:
-                last = exc
-                if attempt < self.retries:
-                    self.stats.retries += 1
-        self.stats.failures += 1
-        raise RunFailure(spec, last) from last

@@ -9,25 +9,31 @@ cache directory (NFS, a shared volume) collectively behave like one
 warm cache.
 
 The :class:`RemoteBackend` is the matching
-:class:`~repro.runner.backends.ExecutionBackend`: it fans a batch of
-specs over a fixed set of worker addresses (one dispatch thread per
-worker pulling from a shared queue), lands results through the engine's
-usual commit hooks, and applies the same retry budget as the pool
-backend.
+:class:`~repro.runner.backends.ExecutionBackend`: it supplies a
+:class:`RemoteExecutor` (one dispatch thread per worker pulling
+``(future, spec)`` pairs from a shared queue), one slot per worker, and
+shutdown as the kill.  The shared loop in
+:meth:`~repro.runner.backends.ExecutionBackend.execute` owns the rest:
+the retry budget, the overall ``timeout`` (from the moment a worker
+takes the spec; an overrun is charged without a breaker strike and
+cancelled, closing only its own connection), the admission window, and
+result landing.
 
 **Leases and heartbeats** make the backend self-healing.  Every
 dispatched spec holds a *lease*: the worker must produce a frame — a
 periodic ``{"heartbeat": true}`` while it simulates, or the final
-result — within ``lease_timeout`` seconds, or the backend reclaims the
-spec and re-dispatches it to a healthy worker.  Heartbeats distinguish
-*slow-but-alive* (lease keeps extending; only the engine's overall
-``timeout`` budget can expire it) from *dead or hung* (silence; lease
-breaks).  A worker that breaks leases or drops connections trips a
-per-worker **circuit breaker**: it is quarantined for an exponentially
-growing backoff, then probed half-open with a cheap no-op (``ping``)
-before readmission; ``max_strikes`` consecutive failures retire it for
-the rest of the batch.  The batch fails only when a spec exhausts its
-retry budget or every worker has been retired.
+result — within ``lease_timeout`` seconds, or its future fails with
+:class:`LeaseExpired` and the loop re-dispatches the spec to a healthy
+worker.  Heartbeats distinguish *slow-but-alive* (lease keeps
+extending; only the engine's overall ``timeout`` budget can expire it)
+from *dead or hung* (silence; lease breaks).  A worker that breaks
+leases or drops connections trips a per-worker **circuit breaker**: it
+is quarantined for an exponentially growing backoff, then probed
+half-open with a cheap no-op (``ping``) before readmission;
+``max_strikes`` consecutive failures retire it for the rest of the
+batch, and the next batch probes it half-open again.  When every worker
+is retired, the specs still owed fail uncharged with
+:class:`NoLiveWorkers`.
 
 Specs travel as their JSON-safe ``to_dict()`` form (version-checked by
 ``RunSpec.from_dict``); results travel as pickled
@@ -46,22 +52,25 @@ from __future__ import annotations
 import logging
 import os
 import pickle
+import queue
 import socket
 import socketserver
 import struct
 import threading
 import time
-from collections import deque
+from concurrent.futures import Executor, Future
+from concurrent.futures._base import CANCELLED, RUNNING
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.backends import ExecutionBackend
+from repro.runner.backends import ExecutionBackend, Unretryable
 from repro.runner.cache import CacheCorruption, ResultCache
 from repro.runner.spec import RunSpec
 
-__all__ = ["PROTOCOL_VERSION", "LeaseExpired", "RemoteBackend",
-           "RemoteRunError", "WorkerClient", "WorkerDied", "WorkerHealth",
-           "WorkerServer", "parse_address"]
+__all__ = ["PROTOCOL_VERSION", "LeaseExpired", "NoLiveWorkers",
+           "RemoteBackend", "RemoteExecutor", "RemoteRunError",
+           "WorkerClient", "WorkerDied", "WorkerHealth", "WorkerServer",
+           "parse_address"]
 
 log = logging.getLogger("repro.runner")
 
@@ -72,7 +81,7 @@ _HEADER = struct.Struct(">I")
 #: refuse frames beyond this size (corrupt header / wrong peer)
 _MAX_FRAME = 256 * 1024 * 1024
 
-#: how often idle dispatch threads re-check for reclaimed work (seconds)
+#: how often a quarantined dispatch thread re-checks its backoff (seconds)
 _POLL = 0.05
 
 
@@ -113,6 +122,13 @@ class LeaseExpired(WorkerDied):
         super().__init__(address, f"no heartbeat within the "
                                   f"{lease_timeout:g}s lease window")
         self.lease_timeout = lease_timeout
+
+
+class NoLiveWorkers(Unretryable, ConnectionError):
+    """Every worker is retired: the spec cannot run in this batch."""
+
+    def __init__(self, workers: int) -> None:
+        super().__init__(f"no live workers left (of {workers})")
 
 
 def parse_address(address: str) -> Tuple[str, int]:
@@ -402,25 +418,13 @@ class WorkerClient:
                 timeout: Optional[float] = None) -> Dict:
         """Send one frame, return the first non-heartbeat reply.
 
-        ``timeout`` bounds each frame (defaults to ``default_timeout``);
-        a connection failure mid-request raises :class:`WorkerDied`
-        rather than a bare ``EOFError``/``ConnectionError``/unpickling
-        crash.
+        ``timeout`` bounds each frame (defaults to ``default_timeout``;
+        silence raises ``socket.timeout``); a connection failure
+        mid-request raises :class:`WorkerDied` rather than a bare
+        ``EOFError``/``ConnectionError``/unpickling crash.
         """
-        if timeout is None:
-            timeout = self.default_timeout
-        self._sock.settimeout(timeout)
-        try:
-            self._send(payload)
-            while True:
-                reply = self._recv()
-                if not (isinstance(reply, dict) and reply.get("heartbeat")):
-                    return reply
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:  # pragma: no cover - socket already dead
-                pass
+        return self._exchange(payload, self.default_timeout
+                              if timeout is None else timeout)
 
     def ping(self, timeout: float = 10.0) -> Dict:
         return self.request({"op": "ping"}, timeout=timeout)
@@ -428,20 +432,14 @@ class WorkerClient:
     def stats(self) -> Dict:
         return self.request({"op": "stats"})["stats"]
 
-    def shutdown(self) -> None:
-        try:
-            self.request({"op": "shutdown"})
-        finally:
-            self.close()
-
     def run_spec(self, spec: RunSpec, timeout: Optional[float] = None,
                  lease_timeout: Optional[float] = None,
                  on_heartbeat: Optional[Callable[[], None]] = None) -> object:
         """Execute ``spec`` remotely under a heartbeat-extended lease.
 
-        - ``timeout`` is the *overall* wall-clock budget for the run
-          (the engine's per-spec budget); exceeding it raises
-          ``TimeoutError`` even while heartbeats keep arriving.
+        - ``timeout`` is an optional *overall* wall-clock budget for the
+          run; exceeding it raises ``TimeoutError`` even while
+          heartbeats keep arriving (the execution loop passes none).
         - ``lease_timeout`` bounds the silence between frames; a worker
           producing neither a heartbeat nor a result within it raises
           :class:`LeaseExpired` (hung or silently dead).
@@ -451,46 +449,49 @@ class WorkerClient:
         """
         deadline = (time.monotonic() + timeout
                     if timeout is not None else None)
-        self._sock.settimeout(lease_timeout if lease_timeout is not None
-                              else timeout)
         try:
-            self._send({"op": "run", "spec": spec.to_dict()})
+            reply = self._exchange({"op": "run", "spec": spec.to_dict()},
+                                   lease_timeout, deadline, on_heartbeat)
+        except socket.timeout:
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"exceeded {timeout}s budget on "
+                                   f"{self.address}") from None
+            raise LeaseExpired(self.address, lease_timeout
+                               if lease_timeout is not None
+                               else timeout or 0.0) from None
+        if not reply.get("ok"):
+            raise RemoteRunError(reply.get("kind", "error"),
+                                 reply.get("error", "unknown remote error"))
+        return reply["run"]
+
+    def _exchange(self, payload: Dict, frame_timeout: Optional[float],
+                  deadline: Optional[float] = None,
+                  on_heartbeat: Optional[Callable[[], None]] = None) -> Dict:
+        """Send ``payload``; return the first reply that is no heartbeat.
+
+        Each frame must arrive within ``frame_timeout`` and before the
+        monotonic ``deadline``, or ``socket.timeout`` is raised.
+        """
+        self._sock.settimeout(frame_timeout)
+        try:
+            self._send(payload)
             while True:
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise TimeoutError(
-                            f"exceeded {timeout}s budget on {self.address}")
-                    if lease_timeout is not None:
-                        self._sock.settimeout(min(lease_timeout, remaining))
-                    else:
-                        self._sock.settimeout(remaining)
-                try:
-                    reply = self._recv()
-                except socket.timeout:
-                    if (deadline is not None
-                            and time.monotonic() >= deadline):
-                        raise TimeoutError(
-                            f"exceeded {timeout}s budget on "
-                            f"{self.address}") from None
-                    raise LeaseExpired(
-                        self.address,
-                        lease_timeout if lease_timeout is not None
-                        else timeout or 0.0) from None
-                if isinstance(reply, dict) and reply.get("heartbeat"):
-                    if on_heartbeat is not None:
-                        on_heartbeat()
-                    continue
-                break
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise socket.timeout("overall budget exhausted")
+                    self._sock.settimeout(left if frame_timeout is None
+                                          else min(frame_timeout, left))
+                reply = self._recv()
+                if not (isinstance(reply, dict) and reply.get("heartbeat")):
+                    return reply
+                if on_heartbeat is not None:
+                    on_heartbeat()
         finally:
             try:
                 self._sock.settimeout(None)
             except OSError:  # pragma: no cover - socket already dead
                 pass
-        if not reply.get("ok"):
-            raise RemoteRunError(reply.get("kind", "error"),
-                                 reply.get("error", "unknown remote error"))
-        return reply["run"]
 
     # low-level frame IO with WorkerDied wrapping ---------------------- #
     def _send(self, payload: Dict) -> None:
@@ -518,6 +519,11 @@ class WorkerClient:
         return reply
 
     def close(self) -> None:
+        """Close the connection, waking any thread blocked on it."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._sock.close()
         except OSError:
@@ -563,8 +569,197 @@ class WorkerHealth:
         }
 
 
+class _RemoteFuture(Future):
+    """A remote spec's future: cancelling it while it runs closes its
+    worker connection, abandoning only that run (the worker still
+    finishes it for the shared cache)."""
+
+    client: Optional[WorkerClient] = None   # set before it runs
+
+    def cancel(self) -> bool:
+        with self._condition:
+            if self._state != RUNNING:
+                return super().cancel()
+            self._state = CANCELLED
+            self._condition.notify_all()
+        self._invoke_callbacks()
+        self.client.close()     # wakes the dispatch thread blocked on it
+        return True
+
+    def settle(self, run, error: Optional[BaseException]) -> bool:
+        """Resolve with the worker's answer; ``False`` if cancelled first."""
+        with self._condition:
+            if self.cancelled():
+                return False
+            if error is None:
+                self.set_result(run)
+            else:
+                self.set_exception(error)
+            return True
+
+
+class RemoteExecutor(Executor):
+    """One dispatch thread per worker, pulling ``(future, spec)`` pairs.
+
+    Each future resolves with the run or with the worker's exception:
+    :class:`RemoteRunError` (a sick spec on a healthy worker),
+    :class:`LeaseExpired`, :class:`WorkerDied` or another I/O error; all
+    but the first strike the worker's breaker, unless the run was
+    cancelled or abandoned by :meth:`shutdown`.  ``submit(fn, spec)``
+    ignores ``fn``: workers run their own ``execute_spec``.
+    """
+
+    def __init__(self, backend: "RemoteBackend") -> None:
+        self._backend = backend
+        self._lock = threading.Lock()
+        self._queue: queue.Queue = queue.Queue()   # (future, spec) | None
+        self._stopped = False
+        self._clients: Dict[str, WorkerClient] = {}
+        self._live = len(backend.addresses)
+        for address in backend.addresses:
+            health = backend.health[address]
+            if health.state == RETIRED:
+                # a new batch probes a retired worker half-open again
+                health.state = HALF_OPEN
+            threading.Thread(target=self._dispatch, args=(address,),
+                             name=f"remote-{address}", daemon=True).start()
+
+    def submit(self, fn, /, spec: RunSpec) -> Future:
+        future = _RemoteFuture()
+        with self._lock:
+            if self._stopped:
+                raise RuntimeError("cannot schedule new futures after "
+                                   "shutdown")
+            if self._live:
+                self._queue.put((future, spec))
+            else:
+                future.set_exception(
+                    NoLiveWorkers(len(self._backend.addresses)))
+        return future
+
+    def shutdown(self, wait: bool = True, *,
+                 cancel_futures: bool = False) -> None:
+        """Cancel queued specs and close every connection, abandoning
+        the runs in flight (their workers still finish them for the
+        shared cache).  Never blocks: dispatch threads are daemons."""
+        with self._lock:
+            self._stopped = True
+            for future, _ in self._take_queued():
+                future.cancel()
+            clients = list(self._clients.values())
+            for _ in self._backend.addresses:
+                self._queue.put(None)   # wakes an idle dispatch thread
+        for client in clients:
+            client.close()              # wakes a thread blocked on a run
+
+    def _take_queued(self) -> List[Tuple[Future, RunSpec]]:
+        """Empty the queue (caller holds the lock)."""
+        items = []
+        try:
+            while True:
+                items.append(self._queue.get(block=False))
+        except queue.Empty:
+            return [item for item in items if item is not None]
+
+    def _dispatch(self, address: str) -> None:
+        backend = self._backend
+        health = backend.health[address]
+
+        def on_heartbeat() -> None:
+            health.heartbeats += 1
+
+        try:
+            while not self._stopped and health.state != RETIRED:
+                if health.state != HEALTHY:     # quarantined or half-open
+                    if time.monotonic() < health.backoff_until:
+                        time.sleep(_POLL)
+                    elif not backend._probe(health):
+                        backend._trip(health, "half-open probe failed")
+                    continue
+                item = self._queue.get()
+                if item is None:
+                    return                      # shut down
+                future, spec = item
+                client = self._clients.get(address)
+                if client is None:
+                    try:
+                        client = WorkerClient(
+                            address, connect_timeout=backend.connect_timeout)
+                    except OSError as exc:
+                        # unreachable: hand the spec back uncharged (the
+                        # worker never saw it) and strike
+                        self._queue.put(item)
+                        backend._trip(health, f"unreachable: {exc}")
+                        continue
+                    with self._lock:
+                        self._clients[address] = client
+                future.client = client
+                if not future.set_running_or_notify_cancel():
+                    continue
+                health.current = spec.digest()
+                run, error = None, None
+                try:
+                    run = client.run_spec(spec,
+                                          lease_timeout=backend.lease_timeout,
+                                          on_heartbeat=on_heartbeat)
+                    health.completed += 1
+                    health.consecutive_failures = 0
+                except (RemoteRunError, OSError, pickle.PickleError,
+                        EOFError) as exc:
+                    error = exc
+                    # the breaker learns of it before the loop does; a run
+                    # abandoned by a cancel or shutdown strikes nothing
+                    strike = (None if self._stopped or future.cancelled()
+                              else _diagnose(health, exc))
+                    if strike is not None:
+                        backend._trip(health, strike)
+                health.current = None
+                suspect = error is not None and not isinstance(
+                    error, RemoteRunError)
+                if not future.settle(run, error) or suspect:
+                    self._disconnect(address)   # or a cancel closed it
+        finally:
+            self._disconnect(address)
+            with self._lock:
+                self._live -= 1
+                if not self._live and not self._stopped:
+                    # the last worker retired: fail what is still owed
+                    for future, _ in self._take_queued():
+                        future.settle(None, NoLiveWorkers(
+                            len(backend.addresses)))
+
+    def _disconnect(self, address: str) -> None:
+        with self._lock:
+            client = self._clients.pop(address, None)
+        if client is not None:
+            client.close()
+
+
+def _diagnose(health: WorkerHealth, exc: BaseException) -> Optional[str]:
+    """Count a failed run against its worker; return the strike, if any."""
+    if isinstance(exc, RemoteRunError):
+        health.consecutive_failures = 0   # the worker answered: it is fine
+        return None
+    if isinstance(exc, LeaseExpired):
+        health.lease_breaks += 1
+        why = "lease expired"
+    elif isinstance(exc, WorkerDied):
+        health.deaths += 1
+        why = "connection died"
+    else:
+        health.deaths += 1
+        why = f"I/O error: {exc!r}"
+    log.warning("[remote] worker %s failed its run (%s): %s",
+                health.address, why, exc)
+    return why
+
+
 class RemoteBackend(ExecutionBackend):
     """Execute specs on ``repro-sim worker`` processes over sockets.
+
+    Its executor is a :class:`RemoteExecutor` with one slot per worker;
+    the retry budget, the overall ``timeout`` and the admission window
+    belong to the shared execution loop.
 
     Args:
         workers: worker addresses (``host:port``).  One dispatch thread
@@ -580,7 +775,8 @@ class RemoteBackend(ExecutionBackend):
             seconds, followed by a half-open ``ping`` probe.
         max_strikes: consecutive failures (lease breaks, deaths,
             unreachable connects, failed probes) after which a worker
-            is retired from the batch for good.
+            is retired for the rest of the batch; the next batch probes
+            it half-open again.
     """
 
     name = "remote"
@@ -610,256 +806,51 @@ class RemoteBackend(ExecutionBackend):
         self.health: Dict[str, WorkerHealth] = {
             address: WorkerHealth(address) for address in addresses}
 
-    def describe(self) -> str:
-        return f"remote({','.join(self.addresses)})"
-
     def health_snapshot(self) -> List[Dict[str, object]]:
         """Per-worker breaker state + telemetry (service ``/status``)."""
         return [self.health[address].snapshot()
                 for address in self.addresses]
 
-    # ------------------------------------------------------------------ #
-    def execute(self, todo, engine, *, land=None, fail=None, tick=None,
-                policy=None):
-        from repro.runner.engine import RunFailure
+    # what the execution loop needs ------------------------------------ #
+    def slots(self, engine) -> int:
+        return len(self.addresses)
 
-        out: Dict[str, object] = {}
-        commit = land if land is not None else engine._commit
-        lock = threading.Lock()
-        queue = deque(todo)
-        attempts: Dict[str, int] = {digest: 0 for digest in todo}
-        resolved: set = set()           # landed or settled-failed digests
-        abort: List[BaseException] = []  # first abort-mode failure
-        # the lease, not this overall budget, catches dead workers; the
-        # budget only expires genuinely over-long runs
-        io_timeout = (engine.timeout + 1.0
-                      if engine.timeout is not None else None)
+    def executor(self, engine, slots: int) -> Executor:
+        return RemoteExecutor(self)
 
-        def finished() -> bool:
-            # caller holds `lock`
-            return bool(abort) or len(resolved) == len(todo)
+    # the circuit breaker ---------------------------------------------- #
+    def _trip(self, health: WorkerHealth, why: str) -> None:
+        """One strike: quarantine with exponential backoff, or retire."""
+        health.consecutive_failures += 1
+        health.current = None
+        if health.consecutive_failures >= self.max_strikes:
+            health.state = RETIRED
+            log.warning("[remote] retiring worker %s after %d "
+                        "consecutive failures (%s)", health.address,
+                        health.consecutive_failures, why)
+            return
+        health.quarantines += 1
+        backoff = min(self.breaker_cap,
+                      self.breaker_base
+                      * (2 ** (health.consecutive_failures - 1)))
+        health.backoff_until = time.monotonic() + backoff
+        health.state = QUARANTINED
+        log.warning("[remote] quarantining worker %s for %.2gs (%s; "
+                    "strike %d/%d)", health.address, backoff, why,
+                    health.consecutive_failures, self.max_strikes)
 
-        def exhausted(digest: str, exc: BaseException) -> None:
-            # caller holds `lock`
-            engine.stats.failures += 1
-            resolved.add(digest)
-            if fail is None:
-                if not abort:
-                    abort.append(RunFailure(todo[digest], exc))
-            else:
-                fail(digest, exc)
-
-        def charge(digest: str, exc: BaseException) -> None:
-            # caller holds `lock`
-            attempts[digest] += 1
-            if attempts[digest] <= engine.retries:
-                engine.stats.retries += 1
-                log.warning(
-                    "[retries] resubmitting %s (%s) attempt %d/%d after %r",
-                    digest[:12], todo[digest].describe(),
-                    attempts[digest] + 1, engine.retries + 1, exc)
-                queue.append(digest)
-            else:
-                exhausted(digest, exc)
-
-        def trip(health: WorkerHealth, why: str) -> None:
-            """One strike: quarantine with exponential backoff, or retire."""
-            health.consecutive_failures += 1
-            health.current = None
-            if health.consecutive_failures >= self.max_strikes:
-                health.state = RETIRED
-                log.warning("[remote] retiring worker %s after %d "
-                            "consecutive failures (%s)", health.address,
-                            health.consecutive_failures, why)
-                return
-            health.quarantines += 1
-            backoff = min(self.breaker_cap,
-                          self.breaker_base
-                          * (2 ** (health.consecutive_failures - 1)))
-            health.backoff_until = time.monotonic() + backoff
-            health.state = QUARANTINED
-            log.warning("[remote] quarantining worker %s for %.2gs (%s; "
-                        "strike %d/%d)", health.address, backoff, why,
-                        health.consecutive_failures, self.max_strikes)
-
-        def probe(health: WorkerHealth) -> bool:
-            """Half-open readmission: a cheap no-op must succeed."""
-            health.state = HALF_OPEN
-            health.probes += 1
+    def _probe(self, health: WorkerHealth) -> bool:
+        """Half-open readmission: a cheap no-op must succeed."""
+        health.state = HALF_OPEN
+        health.probes += 1
+        try:
+            client = WorkerClient(health.address,
+                                  connect_timeout=self.connect_timeout)
             try:
-                client = WorkerClient(health.address,
-                                      connect_timeout=self.connect_timeout)
-                try:
-                    client.ping(timeout=min(5.0, self.lease_timeout))
-                finally:
-                    client.close()
-            except (WorkerDied, OSError):
-                return False
-            health.state = HEALTHY
-            return True
-
-        def dispatch(address: str) -> None:
-            health = self.health[address]
-            client: Optional[WorkerClient] = None
-
-            def drop_client() -> None:
-                nonlocal client
-                if client is not None:
-                    client.close()
-                    client = None
-
-            def on_heartbeat() -> None:
-                health.heartbeats += 1
-
-            try:
-                while True:
-                    with lock:
-                        if finished() or health.state == RETIRED:
-                            return
-                    if health.state in (QUARANTINED, HALF_OPEN):
-                        if time.monotonic() < health.backoff_until:
-                            time.sleep(_POLL)
-                            continue
-                        if not probe(health):
-                            trip(health, "half-open probe failed")
-                        continue
-                    with lock:
-                        if finished():
-                            return
-                        if not queue:
-                            in_flight = len(todo) - len(resolved)
-                        else:
-                            in_flight = 0
-                            digest = queue.popleft()
-                            health.current = digest
-                    if in_flight:
-                        # unresolved specs are leased elsewhere; linger in
-                        # case a lease breaks and the spec is reclaimed
-                        time.sleep(_POLL)
-                        continue
-                    if client is None:
-                        try:
-                            client = WorkerClient(
-                                address, connect_timeout=self.connect_timeout)
-                        except OSError as exc:
-                            # unreachable: hand the spec back uncharged
-                            # (the worker never saw it) and strike
-                            with lock:
-                                queue.appendleft(digest)
-                            trip(health, f"unreachable: {exc}")
-                            continue
-                    try:
-                        run = client.run_spec(
-                            todo[digest], timeout=io_timeout,
-                            lease_timeout=self.lease_timeout,
-                            on_heartbeat=on_heartbeat)
-                    except RemoteRunError as exc:
-                        # the worker answered: it is healthy, the spec is
-                        # not
-                        health.current = None
-                        health.consecutive_failures = 0
-                        with lock:
-                            charge(digest, exc)
-                    except LeaseExpired as exc:
-                        health.lease_breaks += 1
-                        log.warning("[remote] lease broken by %s on %s: %s",
-                                    address, digest[:12], exc)
-                        drop_client()
-                        with lock:
-                            charge(digest, exc)
-                        trip(health, "lease expired")
-                    except WorkerDied as exc:
-                        health.deaths += 1
-                        log.warning("[remote] lost worker %s: %s",
-                                    address, exc)
-                        drop_client()
-                        with lock:
-                            charge(digest, exc)
-                        trip(health, "connection died")
-                    except TimeoutError as exc:
-                        # the spec blew its overall budget; the worker may
-                        # still be grinding on it, so abandon this
-                        # connection (no strike: heartbeats kept arriving)
-                        health.current = None
-                        drop_client()
-                        with lock:
-                            charge(digest, exc)
-                    except (OSError, pickle.PickleError, EOFError) as exc:
-                        health.deaths += 1
-                        log.warning("[remote] worker %s I/O error: %r",
-                                    address, exc)
-                        drop_client()
-                        with lock:
-                            charge(digest, exc)
-                        trip(health, f"I/O error: {exc!r}")
-                    else:
-                        health.current = None
-                        health.completed += 1
-                        health.consecutive_failures = 0
-                        with lock:
-                            commit(digest, run)
-                            out[digest] = run
-                            resolved.add(digest)
+                client.ping(timeout=min(5.0, self.lease_timeout))
             finally:
-                drop_client()
-
-        threads = [threading.Thread(target=dispatch, args=(address,),
-                                    name=f"remote-{address}", daemon=True)
-                   for address in self.addresses]
-        for thread in threads:
-            thread.start()
-        while any(t.is_alive() for t in threads):
-            if tick is not None:
-                tick()
-            for thread in threads:
-                thread.join(timeout=0.1)
-        if tick is not None:
-            tick()
-        if abort:
-            raise abort[0]
-        with lock:
-            stranded = [d for d in todo
-                        if d not in resolved] + list(queue)
-        if stranded:
-            # every worker was retired with work still owed
-            digest = stranded[0]
-            cause = ConnectionError(
-                f"no live workers left (of {len(self.addresses)}) with "
-                f"{len(set(stranded))} specs still owed")
-            if fail is None:
-                raise RunFailure(todo[digest], cause)
-            with lock:
-                for d in dict.fromkeys(stranded):
-                    if d not in resolved:
-                        exhausted(d, cause)
-        return out
-
-    def shutdown_workers(self) -> int:
-        """Ask every reachable worker to exit; returns how many acked."""
-        acked = 0
-        for address in self.addresses:
-            try:
-                client = WorkerClient(address,
-                                      connect_timeout=self.connect_timeout)
-                client.shutdown()
-                acked += 1
-            except OSError:
-                pass
-        return acked
-
-    def wait_ready(self, deadline: float = 30.0) -> None:
-        """Block until every worker answers a ping (startup races)."""
-        end = time.monotonic() + deadline
-        for address in self.addresses:
-            while True:
-                try:
-                    client = WorkerClient(address, connect_timeout=1.0)
-                    client.ping()
-                    client.close()
-                    break
-                except OSError:
-                    if time.monotonic() >= end:
-                        raise ConnectionError(
-                            f"worker {address} not ready after "
-                            f"{deadline}s") from None
-                    time.sleep(0.1)
+                client.close()
+        except (WorkerDied, OSError):
+            return False
+        health.state = HEALTHY
+        return True

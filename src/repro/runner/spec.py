@@ -146,11 +146,6 @@ class RunSpec:
                    hc_kinds=tuple(hc_kinds) if hc_kinds is not None else None,
                    machine=MachineSpec.baseline(n_cores), **kwargs)
 
-    @property
-    def effective_hc_kinds(self) -> Tuple[str, ...]:
-        """Per-HC-lock kinds if given, else a marker for 'all ``hc_kind``'."""
-        return self.hc_kinds if self.hc_kinds is not None else (self.hc_kind,)
-
     def with_fault_plan(self, plan: Optional[FaultPlan],
                         **overrides: Any) -> "RunSpec":
         """Copy of this spec whose machine carries ``plan`` (sweep helper).

@@ -19,8 +19,8 @@ killed by the OS, or a Ctrl-C half-way through.  The
   halves, never below 1) in the spirit of Dice & Kogan's *Avoiding
   Scalability Collapse by Restricting Concurrency*; a sustained healthy
   streak restores it.
-- **poison quarantine** — the pool loop re-runs every spec lost with a
-  dead pool alone, where blame is unambiguous.  A spec that kills its
+- **poison quarantine** — the execution loop re-runs every spec lost
+  with a dead pool alone, where blame is unambiguous.  A spec that kills its
   (solo) worker ``quarantine_threshold`` times is parked: its outcome
   becomes ``quarantined``, it is recorded in the manifest and the
   quarantine file with its digest and last failure, and it is never
@@ -38,13 +38,15 @@ The supervisor is policy, not a second execution loop: every batch
 goes through the engine's backend as
 ``backend.execute(todo, engine, land=, fail=, tick=, policy=self)``.
 The backend's hooks carry the outcome taxonomy and fail-policy
-(``fail``), manifest checkpoints (``land``) and signals (``tick``); for
-the process pool — the supervisor's default, so crashes and hangs stay
-outside the campaign process — the supervisor is also the
-:class:`~repro.runner.backends.PoolPolicy` that counts kills toward
-quarantine, backs off and sizes the admission window.  The pool
-mechanics (deadlines, survivor landing, kill-and-rebuild, solo re-runs)
-live once, in :class:`~repro.runner.backends.ProcessPoolBackend`.
+(``fail``), manifest checkpoints (``land``) and signals (``tick``), and
+on every backend the supervisor is the
+:class:`~repro.runner.backends.PoolPolicy` that counts attempts, counts
+kills toward quarantine, backs off and sizes the admission window (its
+ceiling is the backend's slot count).  The process pool is the
+supervisor's default, so crashes and hangs stay outside the campaign
+process.  The mechanics (retry budget, deadlines, survivor landing,
+kill-and-rebuild, solo re-runs) live once, in
+:meth:`~repro.runner.backends.ExecutionBackend.execute`.
 
 The supervisor reaches into the engine's internal ``_lookup`` /
 ``_commit`` on purpose: they are the engine's caching contract, and the
@@ -250,7 +252,7 @@ class Supervisor(PoolPolicy):
         halve_after: consecutive pool deaths before the admission
             window halves (concurrency shedding).
         heal_after: consecutive clean landings before the window doubles
-            back toward ``engine.jobs``.
+            back toward the backend's slot count.
         manifest_path: where to checkpoint campaign progress (JSON);
             ``None`` disables checkpointing.
         resume_from: path of a previous campaign's manifest; its
@@ -312,7 +314,7 @@ class Supervisor(PoolPolicy):
         self.quarantine_path = quarantine_path
 
         # adaptive admission + health telemetry -------------------------
-        self.window = max(1, engine.jobs)       # current admission window
+        self.window = self._ceiling()           # current admission window
         self.min_window = self.window           # lowest the campaign sank
         self.pool_deaths = 0                    # workers lost to crashes
         self.timeout_kills = 0                  # pools killed for hangs
@@ -392,7 +394,7 @@ class Supervisor(PoolPolicy):
                 f"pool_deaths={self.pool_deaths} "
                 f"timeout_kills={self.timeout_kills} "
                 f"rebuilds={self.rebuilds} "
-                f"window={self.window}/{max(1, self.engine.jobs)} "
+                f"window={self.window}/{self._ceiling()} "
                 f"backoffs={len(self.backoff_log)} "
                 f"policy={self.fail_policy}")
 
@@ -403,16 +405,14 @@ class Supervisor(PoolPolicy):
                  by_digest: Dict[str, RunOutcome]) -> None:
         """Run ``todo`` through the engine's backend with per-spec outcomes.
 
-        The backend handles its own retry budget (charging
-        ``engine.stats``); an exhausted spec reaches ``fail`` exactly
-        once, where the fail-policy decides between aborting and
-        recording a classified (or quarantined) outcome.
+        The backend's loop counts the retry budget (charging
+        ``engine.stats`` and calling :meth:`retrying`); an exhausted
+        spec reaches ``fail`` exactly once, where the fail-policy
+        decides between aborting and recording a classified (or
+        quarantined) outcome.
         """
         self._state = {digest: _SpecState(spec)
                        for digest, spec in todo.items()}
-        backend = self.engine.backend
-        if backend is None:
-            backend = self.engine._auto_pool
 
         def land(digest: str, run: BenchmarkRun) -> None:
             """Commit, record the outcome, heal the window, checkpoint."""
@@ -423,7 +423,7 @@ class Supervisor(PoolPolicy):
                                            kills=st.kills)
             self._consecutive_deaths = 0
             self._clean_streak += 1
-            ceiling = max(1, self.engine.jobs)
+            ceiling = self._ceiling()
             if self._clean_streak >= self.heal_after and self.window < ceiling:
                 self.window = min(ceiling, self.window * 2)
                 self._clean_streak = 0
@@ -456,8 +456,16 @@ class Supervisor(PoolPolicy):
                                           st.attempts, st.spec.to_dict())
                 self._flush_manifest()
 
-        backend.execute(todo, self.engine, land=land, fail=fail,
-                        tick=self._check_interrupt, policy=self)
+        self._backend().execute(todo, self.engine, land=land, fail=fail,
+                                tick=self._check_interrupt, policy=self)
+
+    def _backend(self):
+        """The engine's backend; the process pool unless it names one."""
+        return self.engine.backend or self.engine._auto_pool
+
+    def _ceiling(self) -> int:
+        """Most specs the admission window may ever admit at once."""
+        return max(1, self._backend().slots(self.engine))
 
     def _quarantine(self, digest: str, st: _SpecState,
                     by_digest: Dict[str, RunOutcome]) -> None:
@@ -502,7 +510,7 @@ class Supervisor(PoolPolicy):
             raise
 
     # ------------------------------------------------------------------ #
-    # pool policy: blame, backoff, shedding (hooks of the pool loop)
+    # policy: blame, backoff, shedding (hooks of the execution loop)
     # ------------------------------------------------------------------ #
     def retrying(self, digest: str, exc: BaseException) -> None:
         st = self._state[digest]

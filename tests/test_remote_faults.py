@@ -258,6 +258,31 @@ def test_remote_spec_failure_does_not_trip_breaker(tmp_path):
         server.shutdown()
 
 
+def test_expired_overall_budget_is_charged_without_a_strike(live_worker):
+    """The loop's deadline expires a slow-but-heartbeating spec: the
+    spec is charged, the worker keeps a clean breaker record."""
+    server, address = live_worker
+    release = threading.Event()
+
+    def very_slow(spec):
+        release.wait(30)
+
+    server.execute_fn = very_slow
+    backend = RemoteBackend([address], lease_timeout=5.0)
+    engine = Engine(backend=backend, timeout=0.5, retries=0)
+    try:
+        with pytest.raises(RunFailure) as excinfo:
+            engine.run_specs([SPEC])
+    finally:
+        release.set()
+    assert isinstance(excinfo.value.cause, TimeoutError)
+    assert engine.stats.failures == 1
+    (health,) = backend.health_snapshot()
+    assert health["state"] == "healthy"
+    assert health["quarantines"] == 0
+    assert health["consecutive_failures"] == 0
+
+
 def test_backend_validates_breaker_parameters():
     with pytest.raises(ValueError, match="lease_timeout"):
         RemoteBackend(["127.0.0.1:9"], lease_timeout=0)
@@ -314,3 +339,153 @@ def test_drain_finishes_inflight_spec_and_commits_to_cache(tmp_path):
     cached = ResultCache(cache_dir).load(SPEC.digest())
     assert cached is not None
     assert cached.result.makespan == results["run"].result.makespan
+
+
+def test_retired_worker_rejoins_on_the_next_batch():
+    """Retirement lasts one batch: the next batch probes the worker
+    half-open and readmits it once it answers."""
+    free = socket.socket()
+    free.bind(("127.0.0.1", 0))
+    port = free.getsockname()[1]
+    free.close()                         # nothing listens there yet
+    backend = RemoteBackend([f"127.0.0.1:{port}"], max_strikes=1)
+    engine = Engine(backend=backend, retries=2)
+    with pytest.raises(RunFailure, match="no live workers"):
+        engine.run_specs([SPEC])
+    (health,) = backend.health_snapshot()
+    assert health["state"] == "retired"
+    assert engine.stats.retries == 0     # a spec no worker can run is
+    assert engine.stats.failures == 1    # settled, not charged retries
+
+    server = WorkerServer(port=port)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        (run,) = engine.run_specs([SPEC])
+        assert run.result.makespan > 0
+        (health,) = backend.health_snapshot()
+        assert health["state"] == "healthy"
+        assert health["probes"] == 1
+        assert health["completed"] == 1
+    finally:
+        server.shutdown()
+
+
+def test_supervisor_keeps_every_worker_busy_at_jobs_1():
+    """The admission window is sized by the worker count, not ``jobs``:
+    two workers hold two specs at once even when ``jobs=1``."""
+    from repro.runner import Supervisor
+
+    rendezvous = threading.Barrier(2)
+
+    def together(spec):
+        rendezvous.wait(timeout=5.0)     # breaks unless both are in flight
+        return execute_spec(spec)
+
+    servers = [WorkerServer(execute_fn=together) for _ in range(2)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        engine = Engine(jobs=1, backend=RemoteBackend(
+            ["%s:%d" % server.address for server in servers]))
+        supervisor = Supervisor(engine, fail_policy="collect",
+                                install_signal_handlers=False)
+        result = supervisor.run_campaign(SPECS[:2])
+        assert [o.status for o in result.outcomes] == ["ok", "ok"]
+        assert supervisor.window == 2
+    finally:
+        for server in servers:
+            server.shutdown()
+
+
+def test_dispatch_threads_land_every_spec_exactly_once():
+    """Stress the executor's shared queue: more workers than cores and a
+    short switch interval; every spec lands once, none is run twice."""
+    import sys
+
+    specs = [RunSpec(workload="synth", hc_kind="tatas",
+                     workload_params={"idx": idx}) for idx in range(40)]
+    servers = [WorkerServer(heartbeat_interval=0,
+                            execute_fn=lambda spec: dict(
+                                spec.workload_params)["idx"])
+               for _ in range(4)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    backend = RemoteBackend(["%s:%d" % server.address for server in servers])
+    engine = Engine(backend=backend)
+    box = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread = threading.Thread(
+            target=lambda: box.update(runs=engine.run_specs(specs)))
+        thread.start()
+        thread.join(60.0)
+        assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        for server in servers:
+            server.shutdown()
+    assert box["runs"] == list(range(40))
+    assert engine.stats.executed == 40 and engine.stats.retries == 0
+    assert sum(h["completed"] for h in backend.health_snapshot()) == 40
+    assert sum(server.stats["executed"] for server in servers) == 40
+
+
+def test_deadline_starts_when_a_worker_takes_the_spec():
+    """Specs queued behind the one live worker have not begun their
+    budget: with one unreachable address, every spec lands uncharged."""
+    free = socket.socket()
+    free.bind(("127.0.0.1", 0))
+    dead = "127.0.0.1:%d" % free.getsockname()[1]
+    free.close()                         # nothing listens there
+
+    def slow(spec):
+        time.sleep(0.4)
+        return dict(spec.workload_params)["idx"]
+
+    server = WorkerServer(execute_fn=slow)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    specs = [RunSpec(workload="synth", hc_kind="tatas",
+                     workload_params={"idx": idx}) for idx in range(4)]
+    try:
+        engine = Engine(backend=RemoteBackend(
+            [dead, "%s:%d" % server.address]), timeout=0.8, retries=0)
+        assert engine.run_specs(specs) == [0, 1, 2, 3]
+    finally:
+        server.shutdown()
+    assert engine.stats.retries == 0 and engine.stats.failures == 0
+
+
+def test_overrun_cancels_only_its_own_run():
+    """A spec past its deadline is cancelled alone: the spec running on
+    the other worker is not abandoned and run again."""
+    release = threading.Event()
+    calls = []
+
+    def work(spec):
+        idx = dict(spec.workload_params)["idx"]
+        calls.append(idx)
+        if idx == 0:
+            release.wait(30)             # overruns every budget
+            raise RuntimeError("released")
+        time.sleep(1.0)
+        return idx
+
+    servers = [WorkerServer(execute_fn=work) for _ in range(2)]
+    for server in servers:
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+    specs = [RunSpec(workload="synth", hc_kind="tatas",
+                     workload_params={"idx": idx}) for idx in range(3)]
+    backend = RemoteBackend(["%s:%d" % server.address for server in servers])
+    engine = Engine(backend=backend, timeout=1.5, retries=1)
+    try:
+        with pytest.raises(RunFailure) as excinfo:
+            engine.run_specs(specs)
+    finally:
+        release.set()
+        for server in servers:
+            server.shutdown()
+    assert isinstance(excinfo.value.cause, TimeoutError)
+    assert sorted(calls) == [0, 0, 1, 2]     # spec 2 ran exactly once
+    assert engine.stats.retries == 1
+    assert all(h["quarantines"] == 0 for h in backend.health_snapshot())

@@ -234,12 +234,18 @@ class _FlakyRunner:
         return f"ok:{spec.workload}"
 
 
-def test_retry_recovers_from_transient_failure():
+def test_retry_recovers_from_transient_failure(caplog):
     flaky = _FlakyRunner(failures=2)
     engine = Engine(retries=2, execute_fn=flaky)
     assert engine.run_spec(small_spec()) == "ok:sctr"
     assert engine.stats.retries == 2
     assert engine.stats.failures == 0
+    # inline retries are logged like the pool's; no timeout, no budget
+    retries = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("[retries]")]
+    assert len(retries) == 2
+    assert "attempt 3/3 after RuntimeError" in retries[1]
+    assert "budget" not in " ".join(retries)
 
 
 def test_retry_budget_exhaustion_raises_runfailure():

@@ -574,3 +574,59 @@ def test_supervisor_collects_outcomes_from_delegated_backend(tmp_path):
     assert not outcome.ok
     assert outcome.status == "error"
     assert "boom" in outcome.error
+
+
+# --------------------------------------------------------------------- #
+# one execution loop: every backend counts attempts the same way
+# --------------------------------------------------------------------- #
+def fail_twice_execute(spec):
+    """Module-level worker: each spec fails twice, then succeeds; an
+    ``error`` spec always fails (tries are counted in marker files)."""
+    params = dict(spec.workload_params)
+    if params.get("behavior") == "error":
+        raise ValueError("synthetic failure")
+    scratch = Path(os.environ[CHAOS_DIR_ENV])
+    tries = len(list(scratch.glob(f"try-{params['idx']}-*")))
+    if tries < 2:
+        (scratch / f"try-{params['idx']}-{tries}").write_text("x")
+        raise ValueError(f"transient failure #{tries + 1}")
+    return f"ok:{params['idx']}"
+
+
+@pytest.fixture(params=["inline", "process-pool", "remote"])
+def backend_engine(request, tmp_path, monkeypatch):
+    """``Engine(retries=2)`` running ``fail_twice_execute`` per backend."""
+    monkeypatch.setenv(CHAOS_DIR_ENV, str(tmp_path))
+    if request.param != "remote":
+        yield Engine(retries=2, backend=request.param,
+                     execute_fn=fail_twice_execute)
+        return
+    from repro.runner.remote import RemoteBackend, WorkerServer
+    server = WorkerServer(execute_fn=fail_twice_execute)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.address
+    try:
+        yield Engine(retries=2,
+                     backend=RemoteBackend([f"{host}:{port}"]))
+    finally:
+        server.shutdown()
+
+
+def test_attempts_counted_alike_on_every_backend(backend_engine, tmp_path):
+    """``attempts`` is retries + 1 for an exhausted spec and for one that
+    succeeded on its last try, whichever backend ran it."""
+    engine = backend_engine
+    manifest = tmp_path / "m.json"
+    sup = _fast_supervisor(engine, fail_policy="collect",
+                           manifest_path=manifest)
+    failing, flaky = chaos_spec("error"), chaos_spec("flaky", 7)
+    result = sup.run_campaign([failing, flaky])
+    bad, good = result.outcomes
+    assert bad.status == ERROR
+    assert bad.attempts == engine.retries + 1
+    assert good.status == OK and good.run == "ok:7"
+    assert good.attempts == engine.retries + 1
+    failed = json.loads(manifest.read_text())["failed"]
+    assert failed[failing.digest()]["attempts"] == engine.retries + 1
+    assert engine.stats.retries == 2 * engine.retries
+    assert engine.stats.failures == 1
