@@ -73,10 +73,7 @@ class MemorySystem:
             home = home_of(line, line_bytes, self.config.n_cores)
             l2 = self.l2s[home]
             if l2.tags.lookup(line) is None:
-                l2.tags.insert(
-                    line, "clean",
-                    may_evict=lambda cand, l2=l2: not l2._entry(cand).held_by_l1,
-                )
+                l2.tags.insert(line, "clean", may_evict=l2.may_evict)
 
     # ------------------------------------------------------------------ #
     # convenience accessors

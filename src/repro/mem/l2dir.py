@@ -13,13 +13,20 @@ owner's own eviction notices (``WBData``/``EvictClean``); the home applies a
 *first-owner-message-wins* rule — whichever arrives first completes the
 recall, and a subsequent stale ``RecallAck(present=False)`` is dropped
 (FIFO routing guarantees the eviction notice precedes the stale ack).
+
+On a compiled simulator, one C ``L2Dir`` object per slice (over the C
+``TagArray``) carries the whole directory: the instance binds the message
+handlers, :meth:`may_evict` and :meth:`stuck_lines` to it, and every
+transaction step runs in C, queued on the event loop with the delays and
+in the order the methods below queue it.  The methods below are the pure
+fallback and the behavioural reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from repro.mem import protocol as P
 from repro.mem.cache import TagArray
@@ -80,7 +87,6 @@ class L2DirectorySlice:
         self.counters = counters
         impl = compiled_for(sim)
         self.tags = (TagArray if impl is None else impl.TagArray)(config.l2)
-        self._dir: Dict[int, DirEntry] = {}
         self._noc = config.noc
         # fused make_msg+send entry point, resolved once (bound C method
         # when the compiled mesh core is active)
@@ -90,6 +96,25 @@ class L2DirectorySlice:
         self._c_accesses = counters.bind("l2.accesses")
         self._c_data_accesses = counters.bind("l2.data_accesses")
         self._c_forwards = counters.bind("l2.forwards")
+        # a pure directory keeps its entries in _dir; a compiled one is a
+        # C object that owns the entries and runs the transactions, and
+        # its bound methods shadow the pure ones below for every caller,
+        # the route table included
+        if impl is None:
+            self._dir: Dict[int, DirEntry] = {}
+        else:
+            ctl = impl.L2Dir(
+                self.tags, counters, self._c_accesses, self._c_data_accesses,
+                self._c_forwards, mesh._core, config.noc, tile_id,
+                config.n_cores, config.l2.latency, config.memory_latency,
+                DIR_LATENCY, config.coherence == "mesi", CLEAN, DIRTY)
+            self._on_request = ctl._on_request
+            self._on_inv_ack = ctl._on_inv_ack
+            self._on_unblock = ctl._on_unblock
+            self._on_recall = ctl._on_recall
+            self._on_owner_notice = ctl._on_owner_notice
+            self.may_evict = ctl.may_evict
+            self.stuck_lines = ctl.stuck_lines
 
     def _entry(self, line: int) -> DirEntry:
         entry = self._dir.get(line)
@@ -101,28 +126,8 @@ class L2DirectorySlice:
         self._send_proto(self._noc, self.tile_id, dst, kind, line, extra)
 
     # ------------------------------------------------------------------ #
-    # incoming messages (tile dispatcher callback)
+    # incoming messages (tile route table callbacks)
     # ------------------------------------------------------------------ #
-    def handle(self, msg: Message) -> None:
-        """Process a home-bound protocol message.
-
-        Catch-all entry point for tests and direct callers; the tile route
-        table delivers straight to the per-kind handlers below.
-        """
-        kind = msg.kind
-        if kind in (P.GETS, P.GETM, P.UPGRADE):
-            self._on_request(msg)
-        elif kind == P.INV_ACK:
-            self._on_inv_ack(msg)
-        elif kind == P.UNBLOCK:
-            self._on_unblock(msg)
-        elif kind in (P.WB_DATA, P.EVICT_CLEAN):
-            self._on_owner_notice(msg)
-        elif kind in (P.RECALL_DATA, P.RECALL_ACK):
-            self._on_recall(msg)
-        else:  # pragma: no cover - dispatcher guarantees the kind set
-            raise RuntimeError(f"home {self.tile_id}: unexpected {kind}")
-
     def route_table(self) -> Dict[str, object]:
         """Kind -> handler map for the tile dispatcher (one probe per msg)."""
         table = {kind: self._on_request
@@ -313,10 +318,7 @@ class L2DirectorySlice:
                        self._l2_fill, line, entry, then)
 
     def _l2_fill(self, line: int, entry: DirEntry, then: Callable) -> None:
-        victim = self.tags.insert(
-            line, CLEAN,
-            may_evict=lambda cand: not self._entry(cand).held_by_l1,
-        )
+        victim = self.tags.insert(line, CLEAN, may_evict=self.may_evict)
         if victim is not None:
             victim_line, victim_state = victim
             self.counters.add("l2.evictions")
@@ -326,8 +328,16 @@ class L2DirectorySlice:
         then(line, entry)
 
     # ------------------------------------------------------------------ #
-    # introspection
+    # L2 replacement and diagnostics
     # ------------------------------------------------------------------ #
-    def dir_state(self, line: int) -> DirEntry:
-        """Directory entry for a line (creates an empty one if missing)."""
-        return self._entry(line)
+    def may_evict(self, line: int) -> bool:
+        """L2 victim filter: True when no L1 holds ``line`` ("soft
+        associativity", see DESIGN.md)."""
+        return not self._entry(line).held_by_l1
+
+    def stuck_lines(self) -> List[int]:
+        """Lines whose transaction is busy or parked on a message, in
+        directory order (the sanitizer's drain check)."""
+        return [line for line, entry in self._dir.items()
+                if entry.busy or entry.owner_wait or entry.ack_wait
+                or entry.unblock_wait]

@@ -112,13 +112,13 @@ def make_msg(noc: NoCConfig, src: int, dst: int, kind: str, line: int,
     )
 
 
-# the compiled mesh core and L1 controller build messages from these
+# the compiled mesh core and controllers build messages from these
 # tables (the C module never imports this package itself, to keep its
 # import free of cycles); the kinds go in the order it expects
 if "compiled" in available_backends():
     from repro.sim import _ckernel
 
     _ckernel.configure_protocol(_CATEGORY, _CARRIES_DATA, (
-        GETS, GETM, UPGRADE, DATA, DATA_E, DATA_M, GRANT_M, INV_ACK,
-        FWD_GETS, DATA_C2C, UNBLOCK, RECALL_DATA, RECALL_ACK, WB_DATA,
-        EVICT_CLEAN))
+        GETS, GETM, UPGRADE, DATA, DATA_E, DATA_M, GRANT_M, INV, INV_ACK,
+        FWD_GETS, FWD_GETM, DATA_C2C, UNBLOCK, RECALL_DATA, RECALL_ACK,
+        WB_DATA, EVICT_CLEAN))

@@ -233,6 +233,8 @@ class ExecutionBackend:
 
     #: stable identity, reported in ``Engine.summary()`` and manifests
     name = "abstract"
+    #: whether a run past the engine's ``timeout`` can be cut short
+    enforces_timeout = True
 
     def slots(self, engine) -> int:
         """Most specs this backend runs at once for ``engine``."""
@@ -263,8 +265,8 @@ class ExecutionBackend:
         policy = policy if policy is not None else PoolPolicy()
         slots = min(max(1, self.slots(engine)), len(todo))
         timeout = engine.timeout
-        budget = (f" with a fresh {timeout}s budget" if timeout is not None
-                  else "")
+        budget = (f" with a fresh {timeout}s budget"
+                  if timeout is not None and self.enforces_timeout else "")
         pool = self.executor(engine, slots)
         queue = deque(todo)                # digests awaiting a shared run
         suspects: deque = deque()          # death victims, run alone
@@ -447,6 +449,7 @@ class InlineBackend(ExecutionBackend):
     """
 
     name = "inline"
+    enforces_timeout = False
 
     def slots(self, engine) -> int:
         return 1

@@ -213,7 +213,7 @@ class Engine:
                 todo_slots.setdefault(digest, []).append(i)
         if todo_specs:
             backend = self._select_backend(todo_specs)
-            if (backend.name == "inline" and self.timeout is not None
+            if (not backend.enforces_timeout and self.timeout is not None
                     and not self._warned_inline_timeout):
                 self._warned_inline_timeout = True
                 warnings.warn(

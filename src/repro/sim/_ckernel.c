@@ -13,11 +13,12 @@
  * Also hosts the component-level accelerators named in the performance
  * notes: the protocol Message record, the set-associative TagArray,
  * MeshCore (XY routing, link reservation and traffic accounting for
- * repro.noc.topology.Mesh) and L1Hit (the L1 controller of
- * repro.mem.l1).  Components built on a compiled Simulator pick these
- * at construction (repro.sim.kernel.compiled_for); Message records are
- * built only in C, by the mesh core and the L1 controller, so a pure
- * simulator never sees one.
+ * repro.noc.topology.Mesh), L1Hit (the L1 controller of repro.mem.l1)
+ * and L2Dir (the home directory of repro.mem.l2dir).  Components built
+ * on a compiled Simulator pick these at construction
+ * (repro.sim.kernel.compiled_for); Message records are built only in C,
+ * by the mesh core and the controllers, so a pure simulator never sees
+ * one.
  *
  * Events here are plain C structs recycled in place inside the queue
  * arrays, so the pure kernel's pooled-_Event free list has no analogue:
@@ -44,12 +45,12 @@ static PyObject *str_noc;             /* "noc" */
 /* protocol tables installed by repro.mem.protocol via configure_protocol */
 static PyObject *proto_category;      /* dict kind -> MsgCategory */
 static PyObject *proto_carries;       /* set of data-carrying kinds */
-/* the protocol kinds the L1 controller sends or dispatches on (interned,
+/* the protocol kinds the controllers send or dispatch on (interned,
  * so an interned message kind matches by pointer) */
 static PyObject *k_gets, *k_getm, *k_upgrade, *k_data, *k_data_e,
-                *k_data_m, *k_grant_m, *k_inv_ack, *k_fwd_gets, *k_data_c2c,
-                *k_unblock, *k_recall_data, *k_recall_ack, *k_wb_data,
-                *k_evict_clean;
+                *k_data_m, *k_grant_m, *k_inv, *k_inv_ack, *k_fwd_gets,
+                *k_fwd_getm, *k_data_c2c, *k_unblock, *k_recall_data,
+                *k_recall_ack, *k_wb_data, *k_evict_clean;
 
 typedef struct CSimulator CSimulator;
 typedef struct CSignal CSignal;
@@ -1620,25 +1621,26 @@ static PyObject *
 ck_configure_protocol(PyObject *mod, PyObject *args)
 {
     /* install the kind -> category map, the data-carrying kind set and
-     * the L1 controller's kind constants (repro.mem.protocol calls this
+     * the controllers' kind constants (repro.mem.protocol calls this
      * at import so the C module never has to import protocol/messages
      * itself); the kinds tuple order is fixed by the list below */
     PyObject *category, *carries;
     PyObject **slots[] = {&k_gets, &k_getm, &k_upgrade, &k_data, &k_data_e,
-                          &k_data_m, &k_grant_m, &k_inv_ack, &k_fwd_gets,
-                          &k_data_c2c, &k_unblock, &k_recall_data,
-                          &k_recall_ack, &k_wb_data, &k_evict_clean};
-    PyObject *kinds[15];
-    if (!PyArg_ParseTuple(args, "OO(UUUUUUUUUUUUUUU):configure_protocol",
+                          &k_data_m, &k_grant_m, &k_inv, &k_inv_ack,
+                          &k_fwd_gets, &k_fwd_getm, &k_data_c2c, &k_unblock,
+                          &k_recall_data, &k_recall_ack, &k_wb_data,
+                          &k_evict_clean};
+    PyObject *kinds[17];
+    if (!PyArg_ParseTuple(args, "OO(UUUUUUUUUUUUUUUUU):configure_protocol",
                           &category, &carries, &kinds[0], &kinds[1],
                           &kinds[2], &kinds[3], &kinds[4], &kinds[5],
                           &kinds[6], &kinds[7], &kinds[8], &kinds[9],
                           &kinds[10], &kinds[11], &kinds[12], &kinds[13],
-                          &kinds[14]))
+                          &kinds[14], &kinds[15], &kinds[16]))
         return NULL;
     Py_XSETREF(proto_category, Py_NewRef(category));
     Py_XSETREF(proto_carries, Py_NewRef(carries));
-    for (int i = 0; i < 15; i++) {
+    for (int i = 0; i < 17; i++) {
         PyObject *kind = Py_NewRef(kinds[i]);
         PyUnicode_InternInPlace(&kind);
         Py_XSETREF(*slots[i], kind);
@@ -1692,8 +1694,8 @@ ck_build_msg(PyObject *noc, long src, long dst, PyObject *kind,
     }
     msg->src = src;
     msg->dst = dst;
-    /* interned like the pure Message's, because the L1 controller
-     * matches kinds by pointer (for the interned protocol constants this
+    /* interned like the pure Message's, because the controllers
+     * match kinds by pointer (for the interned protocol constants this
      * only tests a flag) */
     msg->kind = Py_NewRef(kind);
     if (PyUnicode_CheckExact(msg->kind))
@@ -1784,7 +1786,7 @@ ctag_parse_line(PyObject *arg)
 
 /* borrowed state of line `arg` (value `line`), NULL when absent or on
  * error (check PyErr_Occurred); *set_out receives its set dict or NULL.
- * The C L1 controller probes its tags through this too. */
+ * The C controllers probe their tags through this too. */
 static inline PyObject *
 ctag_probe(CTagArray *self, PyObject *arg, long long line,
            PyObject **set_out)
@@ -1884,11 +1886,26 @@ ctag_set_state(CTagArray *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* the may_evict filter of an insert: 1 evictable, 0 keep, -1 error */
+typedef int (*evict_filter)(void *ctx, PyObject *cand);
+
+/* a Python may_evict callable as an evict_filter */
+static int
+evict_pycall(void *may_evict, PyObject *cand)
+{
+    PyObject *r = PyObject_CallOneArg((PyObject *)may_evict, cand);
+    if (r == NULL)
+        return -1;
+    int ok = PyObject_IsTrue(r);
+    Py_DECREF(r);
+    return ok;
+}
+
 /* insert `arg` as MRU; returns the evicted (line, state) tuple or None
- * (new reference), NULL on error */
+ * (new reference), NULL on error.  `may_evict` NULL: any line goes. */
 static PyObject *
 ctag_insert_impl(CTagArray *self, PyObject *arg, PyObject *state,
-                 PyObject *may_evict)
+                 evict_filter may_evict, void *ctx)
 {
     long long line = ctag_parse_line(arg);
     if (line == -1 && PyErr_Occurred())
@@ -1924,21 +1941,10 @@ ctag_insert_impl(CTagArray *self, PyObject *arg, PyObject *state,
         Py_ssize_t n = PyList_GET_SIZE(cands);
         for (Py_ssize_t i = 0; i < n; i++) {
             PyObject *cand = PyList_GET_ITEM(cands, i);
-            int ok;
-            if (may_evict == Py_None)
-                ok = 1;
-            else {
-                PyObject *r = PyObject_CallOneArg(may_evict, cand);
-                if (r == NULL) {
-                    Py_DECREF(cands);
-                    return NULL;
-                }
-                ok = PyObject_IsTrue(r);
-                Py_DECREF(r);
-                if (ok < 0) {
-                    Py_DECREF(cands);
-                    return NULL;
-                }
+            int ok = may_evict == NULL ? 1 : may_evict(ctx, cand);
+            if (ok < 0) {
+                Py_DECREF(cands);
+                return NULL;
             }
             if (ok) {
                 PyObject *vstate = PyDict_GetItemWithError(s, cand);
@@ -1976,7 +1982,9 @@ ctag_insert(CTagArray *self, PyObject *args, PyObject *kwds)
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO|O:insert", kwlist,
                                      &arg, &state, &may_evict))
         return NULL;
-    return ctag_insert_impl(self, arg, state, may_evict);
+    if (may_evict == Py_None)
+        return ctag_insert_impl(self, arg, state, NULL, NULL);
+    return ctag_insert_impl(self, arg, state, evict_pycall, may_evict);
 }
 
 static PyObject *
@@ -2612,6 +2620,98 @@ static PyTypeObject MeshCore_Type = {
 };
 
 /* ------------------------------------------------------------------ */
+/* protocol plumbing shared by the compiled L1 and directory           */
+/* ------------------------------------------------------------------ */
+
+static PyObject *long_zero;    /* cached int(0), created in module init */
+static PyObject *str_add;      /* "add" */
+static PyObject *str_present;  /* "present" */
+static PyObject *str_requester;  /* "requester" */
+
+/* send one protocol message from tile `src` (make_msg + mesh send) */
+static int
+proto_send(CMeshCore *mesh, PyObject *noc, long src, long dst,
+           PyObject *kind, PyObject *line, PyObject *extra)
+{
+    PyObject *msg = ck_build_msg(noc, src, dst, kind, line, extra);
+    if (msg == NULL)
+        return -1;
+    PyObject *r = cmesh_send(mesh, msg);
+    Py_DECREF(msg);
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* same, with the one-entry extra payload {key: value} */
+static int
+proto_send_extra(CMeshCore *mesh, PyObject *noc, long src, long dst,
+                 PyObject *kind, PyObject *line, PyObject *key,
+                 PyObject *value)
+{
+    PyObject *extra = PyDict_New();
+    if (extra == NULL)
+        return -1;
+    int rc = PyDict_SetItem(extra, key, value) < 0
+        ? -1 : proto_send(mesh, noc, src, dst, kind, line, extra);
+    Py_DECREF(extra);
+    return rc;
+}
+
+/* counters.add(name) (or add(name, amount)) on a CounterSet, through the
+ * method so a counter's first bump creates its key in the pure order */
+static int
+counters_add(PyObject *counters, PyObject *name, long long amount)
+{
+    PyObject *r;
+    if (amount == 1)
+        r = PyObject_CallMethodOneArg(counters, str_add, name);
+    else {
+        PyObject *n = PyLong_FromLongLong(amount);
+        if (n == NULL)
+            return -1;
+        r = PyObject_CallMethodObjArgs(counters, str_add, name, n, NULL);
+        Py_DECREF(n);
+    }
+    Py_XDECREF(r);
+    return r == NULL ? -1 : 0;
+}
+
+/* unpack an incoming protocol message: its interned kind, payload and
+ * line (new references) and the line's value; -1 with nothing held */
+static int
+msg_unpack(PyObject *msg, PyObject **kind, PyObject **payload,
+          PyObject **line, long long *l)
+{
+    if (Py_IS_TYPE(msg, &Message_Type)) {
+        *kind = Py_NewRef(((CMessage *)msg)->kind);
+        *payload = Py_NewRef(((CMessage *)msg)->payload);
+    }
+    else {
+        /* a pure-Python Message handed to a handler directly, e.g. one
+         * built with repro.mem.protocol.make_msg in a test */
+        *kind = PyObject_GetAttrString(msg, "kind");
+        if (*kind == NULL)
+            return -1;
+        if (PyUnicode_CheckExact(*kind))
+            PyUnicode_InternInPlace(kind);
+        *payload = PyObject_GetAttrString(msg, "payload");
+        if (*payload == NULL) {
+            Py_CLEAR(*kind);
+            return -1;
+        }
+    }
+    *line = PyObject_GetItem(*payload, str_line);
+    *l = *line == NULL ? -1 : ctag_parse_line(*line);
+    if (*l == -1 && PyErr_Occurred()) {
+        Py_CLEAR(*kind);
+        Py_CLEAR(*payload);
+        Py_CLEAR(*line);
+        return -1;
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* L1Hit: the compiled L1 controller (repro.mem.l1)                    */
 /* ------------------------------------------------------------------ */
 
@@ -2652,13 +2752,9 @@ typedef struct {
     long long word_bytes;
 } CL1Hit;
 
-static PyObject *long_zero;    /* cached int(0), created in module init */
-static PyObject *str_add;      /* "add" */
 static PyObject *str_c2c;      /* "l1.c2c_transfers" */
 static PyObject *str_wbs;      /* "l1.writebacks" */
 static PyObject *str_grant;    /* "grant" */
-static PyObject *str_present;  /* "present" */
-static PyObject *str_requester;  /* "requester" */
 
 static int
 cl1hit_init(CL1Hit *self, PyObject *args, PyObject *kwds)
@@ -2773,19 +2869,13 @@ l1_home(CL1Hit *self, long long line)
     return (long)((line / self->line_bytes) % self->n_tiles);
 }
 
-/* send one protocol message from this L1's tile (make_msg + mesh send) */
+/* send one protocol message from this L1's tile */
 static int
 l1_send(CL1Hit *self, long dst, PyObject *kind, PyObject *line,
         PyObject *extra)
 {
-    PyObject *msg = ck_build_msg(self->noc, self->core_id, dst, kind, line,
-                                 extra);
-    if (msg == NULL)
-        return -1;
-    PyObject *r = cmesh_send(self->mesh, msg);
-    Py_DECREF(msg);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
+    return proto_send(self->mesh, self->noc, self->core_id, dst, kind, line,
+                      extra);
 }
 
 /* same, with the one-entry extra payload {key: value} */
@@ -2793,22 +2883,8 @@ static int
 l1_send_extra(CL1Hit *self, long dst, PyObject *kind, PyObject *line,
               PyObject *key, PyObject *value)
 {
-    PyObject *extra = PyDict_New();
-    if (extra == NULL)
-        return -1;
-    int rc = PyDict_SetItem(extra, key, value) < 0
-        ? -1 : l1_send(self, dst, kind, line, extra);
-    Py_DECREF(extra);
-    return rc;
-}
-
-/* counters.add(name): keeps the counter-key order of the pure L1 */
-static int
-l1_count(CL1Hit *self, PyObject *name)
-{
-    PyObject *r = PyObject_CallMethodOneArg(self->counters, str_add, name);
-    Py_XDECREF(r);
-    return r == NULL ? -1 : 0;
+    return proto_send_extra(self->mesh, self->noc, self->core_id, dst, kind,
+                            line, key, value);
 }
 
 /* fire the spin-watch signal of `line`, if a spinner ever armed one */
@@ -2895,41 +2971,6 @@ l1_word_op(CL1Hit *self, PyObject *addr, int want_m, PyObject *value,
     return result;
 }
 
-/* unpack an incoming protocol message: its interned kind, payload and
- * line (new references) and the line's value; -1 with nothing held */
-static int
-l1_unpack(PyObject *msg, PyObject **kind, PyObject **payload,
-          PyObject **line, long long *l)
-{
-    if (Py_IS_TYPE(msg, &Message_Type)) {
-        *kind = Py_NewRef(((CMessage *)msg)->kind);
-        *payload = Py_NewRef(((CMessage *)msg)->payload);
-    }
-    else {
-        /* a pure-Python Message handed to a handler directly, e.g. one
-         * built with repro.mem.protocol.make_msg in a test */
-        *kind = PyObject_GetAttrString(msg, "kind");
-        if (*kind == NULL)
-            return -1;
-        if (PyUnicode_CheckExact(*kind))
-            PyUnicode_InternInPlace(kind);
-        *payload = PyObject_GetAttrString(msg, "payload");
-        if (*payload == NULL) {
-            Py_CLEAR(*kind);
-            return -1;
-        }
-    }
-    *line = PyObject_GetItem(*payload, str_line);
-    *l = *line == NULL ? -1 : ctag_parse_line(*line);
-    if (*l == -1 && PyErr_Occurred()) {
-        Py_CLEAR(*kind);
-        Py_CLEAR(*payload);
-        Py_CLEAR(*line);
-        return -1;
-    }
-    return 0;
-}
-
 /* eviction notice for a fill's victim: WBData if dirty, EvictClean if
  * E, silent for S; a spinner on the victim line is woken either way */
 static int
@@ -2942,7 +2983,7 @@ l1_evict(CL1Hit *self, PyObject *line, PyObject *state)
     if (is_m < 0)
         return -1;
     if (is_m) {
-        if (l1_count(self, str_wbs) < 0
+        if (counters_add(self->counters, str_wbs, 1) < 0
                 || l1_send(self, l1_home(self, l), k_wb_data, line,
                            Py_None) < 0)
             return -1;
@@ -3053,7 +3094,7 @@ cl1hit_on_fill(CL1Hit *self, PyObject *msg)
     PyObject *new_state;
     long long l;
     int rc = -1;
-    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+    if (msg_unpack(msg, &kind, &payload, &line, &l) < 0)
         return NULL;
     int same = self->pending == NULL ? 0 : l1_is(self->pending, line);
     if (same < 0)
@@ -3101,7 +3142,7 @@ cl1hit_on_fill(CL1Hit *self, PyObject *msg)
     }
     else if (PyErr_Occurred()
              || (victim = ctag_insert_impl(self->tags, line, new_state,
-                                           Py_None)) == NULL
+                                           NULL, NULL)) == NULL
              || (victim != Py_None
                  && l1_evict(self, PyTuple_GET_ITEM(victim, 0),
                              PyTuple_GET_ITEM(victim, 1)) < 0))
@@ -3127,7 +3168,7 @@ cl1hit_on_inv(CL1Hit *self, PyObject *msg)
 {
     PyObject *kind, *payload, *line;
     long long l;
-    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+    if (msg_unpack(msg, &kind, &payload, &line, &l) < 0)
         return NULL;
     PyObject *old = ctag_invalidate(self->tags, line);
     int rc = (old == NULL || l1_wake(self, line) < 0
@@ -3151,7 +3192,7 @@ cl1hit_handle_forward(CL1Hit *self, PyObject *msg)
     long long l;
     long requester = -1;
     int rc = -1, dirty;
-    if (l1_unpack(msg, &kind, &payload, &line, &l) < 0)
+    if (msg_unpack(msg, &kind, &payload, &line, &l) < 0)
         return NULL;
     PyObject *extra = PyObject_GetItem(payload, str_extra);
     PyObject *req = extra ? PyObject_GetItem(extra, str_requester) : NULL;
@@ -3186,7 +3227,7 @@ cl1hit_handle_forward(CL1Hit *self, PyObject *msg)
             goto done;
         grant = self->st_m;
     }
-    if (l1_count(self, str_c2c) < 0
+    if (counters_add(self->counters, str_c2c, 1) < 0
             || l1_send_extra(self, requester, k_data_c2c, line, str_grant,
                              grant) < 0)
         goto done;
@@ -3233,6 +3274,791 @@ static PyTypeObject L1Hit_Type = {
     .tp_traverse = (traverseproc)cl1hit_traverse,
     .tp_clear = (inquiry)cl1hit_clear_gc,
     .tp_methods = cl1hit_methods,
+};
+
+/* ------------------------------------------------------------------ */
+/* L2Dir: the compiled home directory (repro.mem.l2dir)                */
+/* ------------------------------------------------------------------ */
+
+/* The blocking MESI directory of repro.mem.l2dir.L2DirectorySlice, bound
+ * over the instance's message handlers when the kernel is compiled.  A
+ * transaction is the same chain of steps as in the pure directory, one C
+ * function per Python method; each step is queued on the event loop with
+ * the pure delay and in the pure order (so the two backends stay
+ * byte-identical), as a call of the bound `_step` on the line's entry.
+ * The entry records which step runs next; a step that waits for a
+ * message parks its successor in `parked` for that message's handler.
+ * Semantics, counters and every error text mirror the pure directory,
+ * which stays the reference. */
+
+/* the request kinds a transaction serves */
+enum { RQ_GETS, RQ_GETM, RQ_UPGRADE };
+
+/* transaction steps, each named after its L2DirectorySlice method */
+enum { DS_NONE, DS_BEGIN, DS_FORWARDED, DS_INVALIDATED, DS_FINISH,
+       DS_REPLY_GETS, DS_REPLY_GETM, DS_L2_FILL };
+
+/* the owner's answer to a forward (or its crossing eviction notice) */
+enum { RESP_WB_DATA, RESP_EVICT_CLEAN, RESP_RECALL_DATA, RESP_RECALL_ACK };
+
+typedef struct {
+    int kind;                   /* RQ_* */
+    long src;
+} DirRequest;
+
+/* One line's directory state (the pure DirEntry).  A Python object, so a
+ * step queued on the event loop keeps its entry alive after an L2
+ * eviction drops it from the directory, exactly as the pure callbacks'
+ * arguments do. */
+typedef struct {
+    PyObject_VAR_HEAD           /* ob_size: words of `sharers` */
+    PyObject *line;             /* the line address (int) */
+    long owner;                 /* core holding E or M, -1 for none */
+    int busy;
+    int kind;                   /* RQ_* of the transaction in flight */
+    long requester;
+    long fwd_owner;             /* owner the request was forwarded to */
+    int was_sharer;             /* Upgrade from a still-listed sharer */
+    int parked;                 /* DS_FORWARDED / DS_INVALIDATED /
+                                   DS_FINISH awaiting a message, or DS_NONE */
+    long pending_acks;
+    int unblock_pending;        /* unblock arrived early */
+    int step;                   /* the step queued on the event loop */
+    DirRequest begin;           /* DS_BEGIN: the request to start */
+    int resp, present;          /* DS_FORWARDED: the owner's answer */
+    int then;                   /* DS_L2_FILL: the reply step after it */
+    DirRequest *queue;          /* FIFO ring of requests waiting for busy */
+    Py_ssize_t q_head, q_len, q_cap;
+    uint64_t sharers[];         /* one bit per core */
+} CDirEntry;
+
+static PyTypeObject DirEntry_Type;
+
+static void
+dentry_dealloc(CDirEntry *self)
+{
+    Py_XDECREF(self->line);
+    PyMem_Free(self->queue);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyTypeObject DirEntry_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.DirEntry",
+    .tp_basicsize = offsetof(CDirEntry, sharers),
+    .tp_itemsize = sizeof(uint64_t),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "Directory state of one line (compiled home directory).",
+    .tp_dealloc = (destructor)dentry_dealloc,
+};
+
+static inline int
+sharer_has(CDirEntry *e, long core)
+{
+    return (int)((e->sharers[core >> 6] >> (core & 63)) & 1);
+}
+
+static inline void
+sharer_add(CDirEntry *e, long core)
+{
+    e->sharers[core >> 6] |= (uint64_t)1 << (core & 63);
+}
+
+static inline long
+sharer_count(CDirEntry *e)
+{
+    long n = 0;
+    for (Py_ssize_t i = 0; i < Py_SIZE(e); i++)
+        n += __builtin_popcountll(e->sharers[i]);
+    return n;
+}
+
+/* DirEntry.held_by_l1 */
+static inline int
+dentry_held(CDirEntry *e)
+{
+    return e->owner >= 0 || sharer_count(e) > 0;
+}
+
+typedef struct {
+    PyObject_HEAD
+    CTagArray *tags;       /* the slice's compiled L2 tag array */
+    PyObject *dir;         /* dict line -> DirEntry (the pure _dir) */
+    PyObject *counters;    /* CounterSet (the rare counters go via add) */
+    PyObject *accesses;    /* l2.accesses BoundCounter */
+    PyObject *data_accesses;  /* l2.data_accesses BoundCounter */
+    PyObject *forwards;    /* l2.forwards BoundCounter */
+    CMeshCore *mesh;       /* the chip's compiled mesh core (and its sim) */
+    PyObject *noc;         /* NoCConfig (wire sizes for ck_build_msg) */
+    PyObject *step;        /* bound _step: the callback of every queued step */
+    PyObject *clean;       /* the l2dir module's L2 states */
+    PyObject *dirty;
+    long tile;
+    long n_cores;
+    long long l2_latency;
+    long long memory_latency;
+    long long dir_latency;
+    int mesi;              /* config.coherence == "mesi" (grant E) */
+} CL2Dir;
+
+static PyObject *str_invalidations;  /* "l2.invalidations" */
+static PyObject *str_l2_misses;      /* "l2.misses" */
+static PyObject *str_mem_reads;      /* "mem.reads" */
+static PyObject *str_evictions;      /* "l2.evictions" */
+static PyObject *str_mem_writes;     /* "mem.writes" */
+
+static int
+cl2dir_init(CL2Dir *self, PyObject *args, PyObject *kwds)
+{
+    static char *kwlist[] = {"tags", "counters", "accesses", "data_accesses",
+                             "forwards", "mesh", "noc", "tile", "n_cores",
+                             "l2_latency", "memory_latency", "dir_latency",
+                             "mesi", "clean", "dirty", NULL};
+    PyObject *tags, *counters, *accesses, *data_accesses, *forwards, *mesh;
+    PyObject *noc, *clean, *dirty;
+    long tile, n_cores;
+    long long l2_latency, memory_latency, dir_latency;
+    int mesi;
+    if (!PyArg_ParseTupleAndKeywords(
+            args, kwds, "O!OOOOO!OllLLLpOO:L2Dir", kwlist, &TagArray_Type,
+            &tags, &counters, &accesses, &data_accesses, &forwards,
+            &MeshCore_Type, &mesh, &noc, &tile, &n_cores, &l2_latency,
+            &memory_latency, &dir_latency, &mesi, &clean, &dirty))
+        return -1;
+    if (n_cores <= 0 || l2_latency < 0 || memory_latency < 0
+            || dir_latency < 0) {
+        PyErr_SetString(PyExc_ValueError, "invalid directory geometry");
+        return -1;
+    }
+    PyObject *dir = PyDict_New();
+    PyObject *step = dir == NULL ? NULL
+        : PyObject_GetAttrString((PyObject *)self, "_step");
+    if (step == NULL) {
+        Py_XDECREF(dir);
+        return -1;
+    }
+    Py_XSETREF(self->tags, (CTagArray *)Py_NewRef(tags));
+    Py_XSETREF(self->dir, dir);
+    Py_XSETREF(self->counters, Py_NewRef(counters));
+    Py_XSETREF(self->accesses, Py_NewRef(accesses));
+    Py_XSETREF(self->data_accesses, Py_NewRef(data_accesses));
+    Py_XSETREF(self->forwards, Py_NewRef(forwards));
+    Py_XSETREF(self->mesh, (CMeshCore *)Py_NewRef(mesh));
+    Py_XSETREF(self->noc, Py_NewRef(noc));
+    Py_XSETREF(self->step, step);
+    Py_XSETREF(self->clean, Py_NewRef(clean));
+    Py_XSETREF(self->dirty, Py_NewRef(dirty));
+    self->tile = tile;
+    self->n_cores = n_cores;
+    self->l2_latency = l2_latency;
+    self->memory_latency = memory_latency;
+    self->dir_latency = dir_latency;
+    self->mesi = mesi;
+    return 0;
+}
+
+static int
+cl2dir_traverse(CL2Dir *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->tags);
+    Py_VISIT(self->dir);
+    Py_VISIT(self->counters);
+    Py_VISIT(self->accesses);
+    Py_VISIT(self->data_accesses);
+    Py_VISIT(self->forwards);
+    Py_VISIT(self->mesh);
+    Py_VISIT(self->noc);
+    Py_VISIT(self->step);
+    Py_VISIT(self->clean);
+    Py_VISIT(self->dirty);
+    return 0;
+}
+
+static int
+cl2dir_clear_gc(CL2Dir *self)
+{
+    Py_CLEAR(self->tags);
+    Py_CLEAR(self->dir);
+    Py_CLEAR(self->counters);
+    Py_CLEAR(self->accesses);
+    Py_CLEAR(self->data_accesses);
+    Py_CLEAR(self->forwards);
+    Py_CLEAR(self->mesh);
+    Py_CLEAR(self->noc);
+    Py_CLEAR(self->step);
+    Py_CLEAR(self->clean);
+    Py_CLEAR(self->dirty);
+    return 0;
+}
+
+static void
+cl2dir_dealloc(CL2Dir *self)
+{
+    PyObject_GC_UnTrack(self);
+    cl2dir_clear_gc(self);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+/* the entry of `line` (borrowed), created empty on a miss (_entry) */
+static CDirEntry *
+dir_entry(CL2Dir *self, PyObject *line)
+{
+    PyObject *e = PyDict_GetItemWithError(self->dir, line);
+    if (e != NULL || PyErr_Occurred())
+        return (CDirEntry *)e;
+    Py_ssize_t words = (self->n_cores + 63) / 64;
+    CDirEntry *fresh = PyObject_NewVar(CDirEntry, &DirEntry_Type, words);
+    if (fresh == NULL)
+        return NULL;
+    fresh->line = Py_NewRef(line);
+    fresh->owner = -1;
+    fresh->busy = 0;
+    fresh->kind = RQ_GETS;
+    fresh->requester = -1;
+    fresh->fwd_owner = -1;
+    fresh->was_sharer = 0;
+    fresh->parked = DS_NONE;
+    fresh->pending_acks = 0;
+    fresh->unblock_pending = 0;
+    fresh->step = DS_NONE;
+    fresh->queue = NULL;
+    fresh->q_head = fresh->q_len = fresh->q_cap = 0;
+    memset(fresh->sharers, 0, (size_t)words * sizeof(uint64_t));
+    int rc = PyDict_SetItem(self->dir, line, (PyObject *)fresh);
+    Py_DECREF(fresh);                       /* the directory holds it */
+    return rc < 0 ? NULL : fresh;
+}
+
+/* the L2 victim filter of _l2_fill and warm_l2: no L1 holds the line */
+static int
+dir_may_evict(void *self, PyObject *cand)
+{
+    CDirEntry *e = dir_entry((CL2Dir *)self, cand);
+    return e == NULL ? -1 : !dentry_held(e);
+}
+
+static int
+dir_send(CL2Dir *self, long dst, PyObject *kind, CDirEntry *e)
+{
+    return proto_send(self->mesh, self->noc, self->tile, dst, kind, e->line,
+                      Py_None);
+}
+
+/* queue `step` on the event loop after `delay` cycles (self._schedule) */
+static int
+dir_schedule(CL2Dir *self, CDirEntry *e, long long delay, int step)
+{
+    CSimulator *sim = self->mesh->sim;
+    e->step = step;
+    return csim_push(sim, sim->now + delay, self->step, (PyObject *)e,
+                     EV_CALL1);
+}
+
+/* tags.set_state(line, DIRTY) if the line is resident in the L2 */
+static int
+dir_mark_dirty(CL2Dir *self, PyObject *line)
+{
+    long long l = ctag_parse_line(line);
+    if (l == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *set;
+    PyObject *state = ctag_probe(self->tags, line, l, &set);
+    if (state == NULL)
+        return PyErr_Occurred() ? -1 : 0;
+    return PyDict_SetItem(set, line, self->dirty);
+}
+
+static int
+dir_start(CL2Dir *self, CDirEntry *e, DirRequest req)
+{
+    e->busy = 1;
+    e->begin = req;
+    return dir_schedule(self, e, 0, DS_BEGIN);
+}
+
+static int
+dir_finish(CL2Dir *self, CDirEntry *e)
+{
+    e->busy = 0;
+    if (e->q_len == 0)
+        return 0;
+    DirRequest req = e->queue[e->q_head];
+    e->q_head = (e->q_head + 1) & (e->q_cap - 1);
+    e->q_len--;
+    return dir_start(self, e, req);
+}
+
+static int
+dir_enqueue(CDirEntry *e, DirRequest req)
+{
+    if (e->q_len == e->q_cap) {
+        Py_ssize_t cap = e->q_cap ? e->q_cap * 2 : 4;
+        DirRequest *mem = PyMem_Malloc((size_t)cap * sizeof(DirRequest));
+        if (mem == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        for (Py_ssize_t i = 0; i < e->q_len; i++)
+            mem[i] = e->queue[(e->q_head + i) & (e->q_cap - 1)];
+        PyMem_Free(e->queue);
+        e->queue = mem;
+        e->q_cap = cap;
+        e->q_head = 0;
+    }
+    e->queue[(e->q_head + e->q_len) & (e->q_cap - 1)] = req;
+    e->q_len++;
+    return 0;
+}
+
+/* _l2_data: access the L2 data array, fetching from memory on a miss,
+ * then continue with the reply step `then` */
+static int
+dir_l2_data(CL2Dir *self, CDirEntry *e, int then)
+{
+    long long l = ctag_parse_line(e->line);
+    if (l == -1 && PyErr_Occurred())
+        return -1;
+    PyObject *set;
+    PyObject *state = ctag_probe(self->tags, e->line, l, &set);
+    if (state != NULL) {
+        if (ctag_mru(set, e->line, state) < 0
+                || counter_iadd(self->data_accesses, 1) < 0)
+            return -1;
+        return dir_schedule(self, e, self->l2_latency, then);
+    }
+    if (PyErr_Occurred()
+            || counters_add(self->counters, str_l2_misses, 1) < 0
+            || counters_add(self->counters, str_mem_reads, 1) < 0)
+        return -1;
+    e->then = then;
+    return dir_schedule(self, e, self->l2_latency + self->memory_latency,
+                        DS_L2_FILL);
+}
+
+static int
+dir_reply_getm(CL2Dir *self, CDirEntry *e)
+{
+    if (dir_send(self, e->requester, e->was_sharer ? k_grant_m : k_data_m,
+                 e) < 0)
+        return -1;
+    e->owner = e->requester;
+    return dir_finish(self, e);
+}
+
+static int
+dir_reply_gets(CL2Dir *self, CDirEntry *e)
+{
+    int rc;
+    if (e->owner < 0 && sharer_count(e) == 0 && self->mesi) {
+        e->owner = e->requester;           /* grant E (exclusive clean) */
+        rc = dir_send(self, e->requester, k_data_e, e);
+    }
+    else {
+        sharer_add(e, e->requester);
+        rc = dir_send(self, e->requester, k_data, e);
+    }
+    return rc < 0 ? -1 : dir_finish(self, e);
+}
+
+static int
+dir_l2_fill(CL2Dir *self, CDirEntry *e)
+{
+    PyObject *victim = ctag_insert_impl(self->tags, e->line, self->clean,
+                                        dir_may_evict, self);
+    if (victim == NULL)
+        return -1;
+    if (victim != Py_None) {
+        int dirty = l1_is(PyTuple_GET_ITEM(victim, 1), self->dirty);
+        int rc = (dirty < 0
+                  || counters_add(self->counters, str_evictions, 1) < 0
+                  || (dirty && counters_add(self->counters, str_mem_writes,
+                                            1) < 0)) ? -1 : 0;
+        /* _dir.pop(victim_line, None): a transaction step still queued
+         * on the dropped entry keeps it alive */
+        if (rc == 0 && PyDict_DelItem(self->dir,
+                                      PyTuple_GET_ITEM(victim, 0)) < 0) {
+            if (PyErr_ExceptionMatches(PyExc_KeyError))
+                PyErr_Clear();
+            else
+                rc = -1;
+        }
+        Py_DECREF(victim);
+        if (rc < 0)
+            return -1;
+    }
+    else
+        Py_DECREF(victim);
+    return e->then == DS_REPLY_GETS ? dir_reply_gets(self, e)
+                                    : dir_reply_getm(self, e);
+}
+
+static int
+dir_invalidated(CL2Dir *self, CDirEntry *e)
+{
+    memset(e->sharers, 0, (size_t)Py_SIZE(e) * sizeof(uint64_t));
+    if (e->was_sharer)                      /* dir-state-only upgrade */
+        return dir_schedule(self, e, self->dir_latency, DS_REPLY_GETM);
+    return dir_l2_data(self, e, DS_REPLY_GETM);
+}
+
+/* _serve: serve the request from the home (no owner, or it had evicted) */
+static int
+dir_serve(CL2Dir *self, CDirEntry *e)
+{
+    if (e->kind == RQ_GETS)
+        return dir_l2_data(self, e, DS_REPLY_GETS);
+    /* a plain GetM from a listed sharer means that sharer evicted its S
+     * copy silently -- the dataless GrantM is only safe for an Upgrade
+     * whose copy is still valid (still listed => never invalidated since) */
+    long requester = e->requester;
+    int listed = sharer_has(e, requester);
+    e->was_sharer = e->kind == RQ_UPGRADE && listed;
+    long n = sharer_count(e) - listed;
+    if (n == 0)
+        return dir_invalidated(self, e);
+    if (counters_add(self->counters, str_invalidations, n) < 0)
+        return -1;
+    e->pending_acks = n;
+    e->parked = DS_INVALIDATED;
+    for (Py_ssize_t w = 0; w < Py_SIZE(e); w++) {  /* in sorted order */
+        for (uint64_t bits = e->sharers[w]; bits; bits &= bits - 1) {
+            long core = (long)(w * 64 + __builtin_ctzll(bits));
+            if (core != requester && dir_send(self, core, k_inv, e) < 0)
+                return -1;
+        }
+    }
+    return 0;
+}
+
+static int
+dir_begin(CL2Dir *self, CDirEntry *e, DirRequest req)
+{
+    if (counter_iadd(self->accesses, 1) < 0)
+        return -1;
+    long owner = e->owner;
+    if (owner == req.src) {
+        PyErr_Format(PyExc_RuntimeError, "home %ld: %s from current owner %ld",
+                     self->tile, req.kind == RQ_GETS ? "GetS" : "GetM",
+                     req.src);
+        return -1;
+    }
+    e->kind = req.kind;
+    e->requester = req.src;
+    if (owner < 0)
+        return dir_serve(self, e);
+    /* forward to the E/M owner for a cache-to-cache serve */
+    e->fwd_owner = owner;
+    e->parked = DS_FORWARDED;
+    PyObject *requester = PyLong_FromLong(req.src);
+    if (requester == NULL)
+        return -1;
+    int rc = proto_send_extra(self->mesh, self->noc, self->tile, owner,
+                              req.kind == RQ_GETS ? k_fwd_gets : k_fwd_getm,
+                              e->line, str_requester, requester);
+    Py_DECREF(requester);
+    return rc;
+}
+
+/* _forwarded: the owner's forward response (or crossing eviction notice):
+ * after a cache-to-cache serve wait for the requester's unblock, otherwise
+ * serve the requester from the home's own copy */
+static int
+dir_forwarded(CL2Dir *self, CDirEntry *e)
+{
+    if (counter_iadd(self->forwards, 1) < 0)
+        return -1;
+    if ((e->resp == RESP_WB_DATA || e->resp == RESP_RECALL_DATA)
+            && dir_mark_dirty(self, e->line) < 0)
+        return -1;
+    int still_present = e->resp == RESP_RECALL_DATA
+        || (e->resp == RESP_RECALL_ACK && e->present);
+    int gets = e->kind == RQ_GETS;
+    if (gets && still_present)
+        sharer_add(e, e->fwd_owner);
+    e->owner = -1;
+    if (!still_present)
+        return dir_serve(self, e);
+    if (gets)
+        sharer_add(e, e->requester);
+    else
+        e->owner = e->requester;
+    if (e->unblock_pending) {
+        e->unblock_pending = 0;
+        return dir_finish(self, e);
+    }
+    e->parked = DS_FINISH;
+    return 0;
+}
+
+/* _step(entry): run the step queued for `entry` (every event the
+ * directory schedules calls this) */
+static PyObject *
+cl2dir_step(CL2Dir *self, PyObject *arg)
+{
+    if (!Py_IS_TYPE(arg, &DirEntry_Type)) {
+        PyErr_SetString(PyExc_TypeError, "_step expects a directory entry");
+        return NULL;
+    }
+    CDirEntry *e = (CDirEntry *)arg;
+    int step = e->step, rc;
+    e->step = DS_NONE;
+    switch (step) {
+    case DS_BEGIN:
+        rc = dir_begin(self, e, e->begin);
+        break;
+    case DS_FORWARDED:
+        rc = dir_forwarded(self, e);
+        break;
+    case DS_INVALIDATED:
+        rc = dir_invalidated(self, e);
+        break;
+    case DS_FINISH:
+        rc = dir_finish(self, e);
+        break;
+    case DS_REPLY_GETS:
+        rc = dir_reply_gets(self, e);
+        break;
+    case DS_REPLY_GETM:
+        rc = dir_reply_getm(self, e);
+        break;
+    case DS_L2_FILL:
+        rc = dir_l2_fill(self, e);
+        break;
+    default:
+        PyErr_Format(PyExc_RuntimeError,
+                     "home %ld: no directory step queued", self->tile);
+        rc = -1;
+    }
+    if (rc < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* resume a step parked on a message, at zero delay */
+static int
+dir_resume(CL2Dir *self, CDirEntry *e)
+{
+    int step = e->parked;
+    e->parked = DS_NONE;
+    return dir_schedule(self, e, 0, step);
+}
+
+/* unpack a home-bound message into its kind, line, entry and source */
+static int
+dir_unpack(CL2Dir *self, PyObject *msg, PyObject **kind, PyObject **payload,
+           PyObject **line, CDirEntry **e, long *src)
+{
+    long long l;
+    if (msg_unpack(msg, kind, payload, line, &l) < 0)
+        return -1;
+    if (Py_IS_TYPE(msg, &Message_Type))
+        *src = ((CMessage *)msg)->src;
+    else {
+        PyObject *o = PyObject_GetAttrString(msg, "src");
+        *src = o == NULL ? -1 : PyLong_AsLong(o);
+        Py_XDECREF(o);
+    }
+    if ((*src != -1 || !PyErr_Occurred())
+            && (*e = dir_entry(self, *line)) != NULL)
+        return 0;
+    Py_CLEAR(*kind);
+    Py_CLEAR(*payload);
+    Py_CLEAR(*line);
+    return -1;
+}
+
+/* payload["extra"]["present"] of a RecallAck */
+static int
+dir_present(PyObject *payload)
+{
+    PyObject *extra = PyObject_GetItem(payload, str_extra);
+    PyObject *present = extra ? PyObject_GetItem(extra, str_present) : NULL;
+    int rc = present ? PyObject_IsTrue(present) : -1;
+    Py_XDECREF(extra);
+    Py_XDECREF(present);
+    return rc;
+}
+
+#define DIR_HANDLER_END                         \
+    Py_DECREF(kind);                            \
+    Py_DECREF(payload);                         \
+    Py_DECREF(line);                            \
+    if (rc < 0)                                 \
+        return NULL;                            \
+    Py_RETURN_NONE;
+
+/* _on_request(msg): GetS / GetM / Upgrade -- start or queue a transaction */
+static PyObject *
+cl2dir_on_request(CL2Dir *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    CDirEntry *e;
+    DirRequest req;
+    int rc;
+    if (dir_unpack(self, msg, &kind, &payload, &line, &e, &req.src) < 0)
+        return NULL;
+    req.kind = kind == k_gets ? RQ_GETS
+        : (kind == k_upgrade ? RQ_UPGRADE : RQ_GETM);
+    if (req.src < 0 || req.src >= self->n_cores) {
+        PyErr_Format(PyExc_ValueError, "home %ld: request from core %ld "
+                     "outside the chip", self->tile, req.src);
+        rc = -1;
+    }
+    else if (e->busy)
+        rc = dir_enqueue(e, req);
+    else
+        rc = dir_start(self, e, req);
+    DIR_HANDLER_END
+}
+
+static PyObject *
+cl2dir_on_inv_ack(CL2Dir *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    CDirEntry *e;
+    long src;
+    int rc = 0;
+    if (dir_unpack(self, msg, &kind, &payload, &line, &e, &src) < 0)
+        return NULL;
+    e->pending_acks -= 1;
+    if (e->pending_acks == 0 && e->parked == DS_INVALIDATED)
+        rc = dir_resume(self, e);
+    DIR_HANDLER_END
+}
+
+static PyObject *
+cl2dir_on_unblock(CL2Dir *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    CDirEntry *e;
+    long src;
+    int rc = 0;
+    if (dir_unpack(self, msg, &kind, &payload, &line, &e, &src) < 0)
+        return NULL;
+    if (e->parked == DS_FINISH)
+        rc = dir_resume(self, e);
+    else
+        e->unblock_pending = 1;
+    DIR_HANDLER_END
+}
+
+/* _on_recall(msg): RecallData / RecallAck, the forward response */
+static PyObject *
+cl2dir_on_recall(CL2Dir *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    CDirEntry *e;
+    long src;
+    int rc = 0, present = 0;
+    if (dir_unpack(self, msg, &kind, &payload, &line, &e, &src) < 0)
+        return NULL;
+    if (kind == k_recall_ack && (present = dir_present(payload)) < 0)
+        rc = -1;
+    else if (e->parked == DS_FORWARDED) {
+        e->resp = kind == k_recall_ack ? RESP_RECALL_ACK : RESP_RECALL_DATA;
+        e->present = present;
+        rc = dir_resume(self, e);
+    }
+    /* else: stale ack from an owner whose eviction notice already
+     * completed the recall -- drop (must be an absent-ack) */
+    else if (!(kind == k_recall_ack && !present)) {
+        char hex[HEX_BUF];
+        long long l = ctag_parse_line(line);
+        PyErr_Format(PyExc_RuntimeError, "home %ld: unexpected %U for %s",
+                     self->tile, kind, hex_of(hex, l));
+        rc = -1;
+    }
+    DIR_HANDLER_END
+}
+
+/* _on_owner_notice(msg): WBData / EvictClean from the current owner */
+static PyObject *
+cl2dir_on_owner_notice(CL2Dir *self, PyObject *msg)
+{
+    PyObject *kind, *payload, *line;
+    CDirEntry *e;
+    long src;
+    int rc = 0;
+    if (dir_unpack(self, msg, &kind, &payload, &line, &e, &src) < 0)
+        return NULL;
+    if (kind == k_wb_data && dir_mark_dirty(self, line) < 0)
+        rc = -1;
+    else {
+        if (e->owner == src)
+            e->owner = -1;
+        if (e->parked == DS_FORWARDED) {
+            e->resp = kind == k_wb_data ? RESP_WB_DATA : RESP_EVICT_CLEAN;
+            e->present = 0;
+            rc = dir_resume(self, e);
+        }
+    }
+    DIR_HANDLER_END
+}
+
+#undef DIR_HANDLER_END
+
+/* may_evict(line): the L2 victim filter (a line no L1 holds) */
+static PyObject *
+cl2dir_may_evict(CL2Dir *self, PyObject *line)
+{
+    int ok = dir_may_evict(self, line);
+    if (ok < 0)
+        return NULL;
+    return PyBool_FromLong(ok);
+}
+
+/* stuck_lines(): lines whose transaction is busy or parked */
+static PyObject *
+cl2dir_stuck_lines(CL2Dir *self, PyObject *Py_UNUSED(ignored))
+{
+    PyObject *out = PyList_New(0);
+    PyObject *line, *value;
+    Py_ssize_t pos = 0;
+    if (out == NULL)
+        return NULL;
+    while (PyDict_Next(self->dir, &pos, &line, &value)) {
+        CDirEntry *e = (CDirEntry *)value;
+        if ((e->busy || e->parked != DS_NONE)
+                && PyList_Append(out, line) < 0) {
+            Py_DECREF(out);
+            return NULL;
+        }
+    }
+    return out;
+}
+
+static PyMethodDef cl2dir_methods[] = {
+    {"_on_request", (PyCFunction)cl2dir_on_request, METH_O,
+     "GetS / GetM / Upgrade: start or queue a transaction."},
+    {"_on_inv_ack", (PyCFunction)cl2dir_on_inv_ack, METH_O,
+     "Collect an invalidation ack at the home."},
+    {"_on_unblock", (PyCFunction)cl2dir_on_unblock, METH_O,
+     "The requester's cache-to-cache fill landed."},
+    {"_on_recall", (PyCFunction)cl2dir_on_recall, METH_O,
+     "The owner's forward response (RecallData / RecallAck)."},
+    {"_on_owner_notice", (PyCFunction)cl2dir_on_owner_notice, METH_O,
+     "WBData / EvictClean from the current owner."},
+    {"_step", (PyCFunction)cl2dir_step, METH_O,
+     "Run the transaction step queued for a directory entry."},
+    {"may_evict", (PyCFunction)cl2dir_may_evict, METH_O,
+     "True when no L1 holds the line (the L2 victim filter)."},
+    {"stuck_lines", (PyCFunction)cl2dir_stuck_lines, METH_NOARGS,
+     "Lines whose transaction is busy or parked on a message."},
+    {NULL}
+};
+
+static PyTypeObject L2Dir_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ckernel.L2Dir",
+    .tp_basicsize = sizeof(CL2Dir),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "Compiled home directory (see repro.mem.l2dir).",
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)cl2dir_init,
+    .tp_dealloc = (destructor)cl2dir_dealloc,
+    .tp_traverse = (traverseproc)cl2dir_traverse,
+    .tp_clear = (inquiry)cl2dir_clear_gc,
+    .tp_methods = cl2dir_methods,
 };
 
 /* ------------------------------------------------------------------ */
@@ -3308,7 +4134,9 @@ PyInit__ckernel(void)
             || PyType_Ready(&Message_Type) < 0
             || PyType_Ready(&TagArray_Type) < 0
             || PyType_Ready(&MeshCore_Type) < 0
-            || PyType_Ready(&L1Hit_Type) < 0)
+            || PyType_Ready(&L1Hit_Type) < 0
+            || PyType_Ready(&DirEntry_Type) < 0
+            || PyType_Ready(&L2Dir_Type) < 0)
         goto fail;
 
     if ((long_zero = PyLong_FromLong(0)) == NULL
@@ -3319,7 +4147,15 @@ PyInit__ckernel(void)
             || (str_grant = PyUnicode_InternFromString("grant")) == NULL
             || (str_present = PyUnicode_InternFromString("present")) == NULL
             || (str_requester =
-                    PyUnicode_InternFromString("requester")) == NULL)
+                    PyUnicode_InternFromString("requester")) == NULL
+            || (str_invalidations =
+                    PyUnicode_InternFromString("l2.invalidations")) == NULL
+            || (str_l2_misses = PyUnicode_InternFromString("l2.misses")) == NULL
+            || (str_mem_reads = PyUnicode_InternFromString("mem.reads")) == NULL
+            || (str_evictions =
+                    PyUnicode_InternFromString("l2.evictions")) == NULL
+            || (str_mem_writes =
+                    PyUnicode_InternFromString("mem.writes")) == NULL)
         goto fail;
 
     PyObject *mod = PyModule_Create(&ckernel_module);
@@ -3339,6 +4175,8 @@ PyInit__ckernel(void)
                                      (PyObject *)&MeshCore_Type) < 0
             || PyModule_AddObjectRef(mod, "L1Hit",
                                      (PyObject *)&L1Hit_Type) < 0
+            || PyModule_AddObjectRef(mod, "L2Dir",
+                                     (PyObject *)&L2Dir_Type) < 0
             || PyModule_AddObjectRef(mod, "SimulationError",
                                      SimulationError) < 0
             || PyModule_AddObjectRef(mod, "SimDeadlockError",

@@ -162,7 +162,7 @@ def compiled_for(sim):
 
     ``None`` for a pure simulator.  Components built on ``sim`` call this
     once, at construction, to reach the C helper types (``MeshCore``,
-    ``TagArray``, ``L1Hit``) that only run on the compiled kernel.
+    ``TagArray``, ``L1Hit``, ``L2Dir``) that only run on the compiled kernel.
     """
     if _ckernel is not None and type(sim) is _ckernel.Simulator:
         return _ckernel

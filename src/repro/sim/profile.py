@@ -60,7 +60,7 @@ _INSTANCE_MARKERS = re.compile(r"0x[0-9a-fA-F]+|\d+")
 
 #: compiled component types reported under the layer they implement, so
 #: both kernel backends produce the same rows
-_LAYER_OF = {"L1Hit": "L1Cache"}
+_LAYER_OF = {"L1Hit": "L1Cache", "L2Dir": "L2DirectorySlice"}
 
 
 def _role_of(name: str) -> str:
@@ -75,7 +75,8 @@ def _component_of(fn: Callable) -> str:
 
     Bound methods are attributed to their owner: model components
     (L1Cache, L2DirectorySlice, ...) by class name -- the compiled L1
-    controller as the ``L1Cache`` it implements -- and kernel Processes
+    controller and directory as the ``L1Cache`` and ``L2DirectorySlice``
+    they implement -- and kernel Processes
     by their role (see :func:`_role_of`).  Plain functions and closures
     fall back to their qualified name with the ``<locals>`` noise
     removed.

@@ -172,9 +172,7 @@ class InvariantSanitizer:
             stuck_lines = [
                 f"home {home.tile_id} line {line:#x}"
                 for home in self.machine.mem.l2s
-                for line, entry in home._dir.items()
-                if entry.busy or entry.owner_wait or entry.ack_wait
-                or entry.unblock_wait]
+                for line in home.stuck_lines()]
             if stuck_lines:
                 raise InvariantViolation(
                     "stuck directory transactions at drain (busy or "

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.machine import Machine
+from repro.mem import protocol as P
+from repro.sim import kernel
 from repro.sim.config import CMPConfig
 from repro.verify.invariants import (
     InvariantSanitizer,
@@ -174,33 +176,68 @@ def test_drain_ignores_abandoned_callback_waiters():
     sanitizer.at_drain()   # must not raise
 
 
+#: a line homed at tile 1 of a 4-core chip
+STUCK_LINE = 0x1f40
+
+#: how home 1's transaction on STUCK_LINE is left unable to finish, per
+#: DirEntry field that records the wait: (cores that read the line first,
+#: request kind, requester, message kind the listed tiles swallow).  A
+#: GetS from the line's own owner raises mid-transaction and leaves the
+#: line busy with nothing parked.
+STUCK = {
+    "busy": ([3], P.GETS, 3, None, ()),
+    "owner_wait": ([3], P.GETS, 2, P.FWD_GETS, (3,)),
+    "ack_wait": ([3, 0], P.GETM, 2, P.INV, (0, 3)),
+    "unblock_wait": ([3], P.GETS, 2, P.DATA_C2C, (2,)),
+}
+
+
+def _stuck_transaction(backend, field):
+    """A machine on ``backend`` whose home 1 holds a transaction on
+    STUCK_LINE that no message will ever resume; the queue is drained."""
+    prev = kernel.active_backend()
+    kernel.set_backend(backend)
+    try:
+        machine = Machine(CMPConfig.baseline(4))
+    finally:
+        kernel.set_backend(prev)
+    sanitizer = fresh_sanitizer(machine)
+    mem, sim = machine.mem, machine.sim
+    readers, kind, requester, swallowed, tiles = STUCK[field]
+    for core in readers:
+        sim.spawn(mem.l1(core).load(STUCK_LINE))
+        sim.run()
+    for tile in tiles:
+        mem.mesh._handlers[tile][swallowed] = lambda msg: None
+    mem.mesh.send_proto(mem.config.noc, requester, 1, kind, STUCK_LINE)
+    if field == "busy":
+        with pytest.raises(RuntimeError,
+                           match="home 1: GetS from current owner 3"):
+            sim.run()
+    sim.run()
+    return machine, sanitizer
+
+
 @pytest.mark.parametrize("field", ["busy", "owner_wait", "ack_wait",
                                    "unblock_wait"])
 def test_drain_flags_stuck_directory_transaction(field):
     """A directory transaction busy or parked on a message, with no event
-    left that could deliver it, can never finish."""
-    machine = Machine(CMPConfig.baseline(4))
-    sanitizer = fresh_sanitizer(machine)
-    home = machine.mem.l2s[1]
-    entry = home.dir_state(0x1f40)
-    setattr(entry, field, True if field == "busy" else home._finish)
-    assert machine.sim.pending_events == 0
-    with pytest.raises(InvariantViolation,
-                       match=r"stuck directory.*home 1 line 0x1f40"):
-        sanitizer.at_drain()
+    left that could deliver it, can never finish (on both backends)."""
+    for backend in kernel.available_backends():
+        machine, sanitizer = _stuck_transaction(backend, field)
+        assert machine.sim.pending_events == 0
+        with pytest.raises(InvariantViolation,
+                           match=r"stuck directory.*home 1 line 0x1f40"):
+            sanitizer.at_drain()
 
 
 def test_drain_ignores_directory_transaction_with_events_pending():
     """While events remain the transaction may still be resumed (phase
     end abandons it mid-flight, see run_until_processes_finish)."""
-    machine = Machine(CMPConfig.baseline(4))
-    sanitizer = fresh_sanitizer(machine)
-    home = machine.mem.l2s[0]
-    entry = home.dir_state(0x40)
-    entry.busy = True
-    entry.unblock_wait = home._finish
-    machine.sim.schedule(10, lambda: None)
-    sanitizer.at_drain()   # must not raise
+    for backend in kernel.available_backends():
+        machine, sanitizer = _stuck_transaction(backend, "unblock_wait")
+        machine.sim.schedule(10, lambda: None)
+        sanitizer.at_drain()   # must not raise
 
 
 def test_drain_flags_unfinished_process():

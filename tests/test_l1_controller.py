@@ -1,15 +1,19 @@
-"""The L1 controller behaves the same on both kernel backends.
+"""The L1 controller and the directory behave the same on both backends.
 
 With the compiled kernel, one C ``L1Hit`` object per L1 runs the whole
 controller: hits, miss issue and completion, fills (with the victim's
-eviction notice), invalidations, forwards and spin-watch wakeups.  These
-tests hold it to the pure :class:`~repro.mem.l1.L1Cache`:
+eviction notice), invalidations, forwards and spin-watch wakeups; one C
+``L2Dir`` object per home slice runs the whole directory.  These tests
+hold them to the pure :class:`~repro.mem.l1.L1Cache` and
+:class:`~repro.mem.l2dir.L2DirectorySlice`:
 
 - every L1 (and tag array) error raises the same exception type with
   the same text;
-- a contended run executes no Python frame of the pure handlers on the
-  compiled backend (no silent fallback), and some on the pure one;
-- the profiler reports the same component rows on both backends;
+- contended runs execute no Python frame of the pure L1 handlers or
+  directory transaction methods on the compiled backend (no silent
+  fallback), and every one of them on the pure one;
+- the profiler reports the same component rows, with the same event
+  counts, on both backends;
 - repeated compiled runs do not leak (reference counting in the C
   handlers).
 """
@@ -25,9 +29,11 @@ from repro import CMPConfig, Machine
 from repro.mem import MemorySystem, cache
 from repro.mem import protocol as P
 from repro.mem.l1 import L1Cache
+from repro.mem.l2dir import L2DirectorySlice
 from repro.runner.engine import execute_spec
 from repro.runner.spec import MachineSpec, RunSpec
 from repro.sim import kernel
+from repro.sim.config import CacheConfig
 from repro.sim.profile import profiling
 from repro.workloads.registry import make_workload
 
@@ -117,8 +123,22 @@ def test_tag_array_error_texts(impl):
 # --------------------------------------------------------------------- #
 # no silent fallback, one profiler row per layer
 # --------------------------------------------------------------------- #
-_PURE_HANDLERS = ("_on_fill", "_on_inv", "_handle_forward", "_request",
-                  "_complete")
+_PURE_HANDLERS = {
+    L1Cache: ("_on_fill", "_on_inv", "_handle_forward", "_request",
+              "_complete"),
+    L2DirectorySlice: ("_on_request", "_on_inv_ack", "_on_unblock",
+                       "_on_recall", "_on_owner_notice", "_start",
+                       "_finish", "_begin", "_forwarded", "_serve",
+                       "_invalidated", "_reply_gets", "_reply_getm",
+                       "_l2_data", "_l2_fill", "may_evict"),
+}
+
+#: 16 cores with 1 KiB two-way L1 and L2: the tiny caches also reach L1
+#: eviction notices and L2 victim choice
+TINY_CACHES = CMPConfig(n_cores=16, l1=CacheConfig(1024, 2, 64, 2),
+                        l2=CacheConfig(1024, 2, 64, 12))
+TINY_SPEC = RunSpec(workload="raytr", hc_kind="mcs", scale=0.3,
+                    machine=MachineSpec(config=TINY_CACHES))
 
 
 def _contended_run():
@@ -130,44 +150,57 @@ def _contended_run():
 
 
 def test_compiled_controller_runs_no_python_l1_frames(backend):
-    l1_source = inspect.getsourcefile(L1Cache)
-    calls = dict.fromkeys(_PURE_HANDLERS, 0)
+    sources = {inspect.getsourcefile(cls): names
+               for cls, names in _PURE_HANDLERS.items()}
+    calls = {(src, name): 0
+             for src, names in sources.items() for name in names}
 
     def hook(frame, event, arg):
-        code = frame.f_code
-        if (event == "call" and code.co_name in calls
-                and code.co_filename == l1_source):
-            calls[code.co_name] += 1
+        key = (frame.f_code.co_filename, frame.f_code.co_name)
+        if event == "call" and key in calls:
+            calls[key] += 1
 
     sys.setprofile(hook)
     try:
         machine = _contended_run()
+        execute_spec(TINY_SPEC)
     finally:
         sys.setprofile(None)
     assert machine.counters["l1.c2c_transfers"] > 0
     if backend == "compiled":
-        assert calls == dict.fromkeys(_PURE_HANDLERS, 0)
+        assert calls == dict.fromkeys(calls, 0)
     else:
         assert all(calls.values()), calls
 
 
-def test_profiler_rows_match_across_backends(backend):
+def _profile_events():
     with profiling() as prof:
         _contended_run()
-    assert set(prof.report()) == {"process:core", "L1Cache",
-                                  "L2DirectorySlice"}
+    return {name: row["events"] for name, row in prof.report().items()}
+
+
+def test_profiler_rows_match_across_backends(backend):
+    events = _profile_events()
+    assert set(events) == {"process:core", "L1Cache", "L2DirectorySlice"}
+    if backend == "compiled":
+        # the compiled controllers queue exactly the pure ones' events
+        kernel.set_backend("pure")
+        assert events == _profile_events()
 
 
 # --------------------------------------------------------------------- #
 # reference counting
 # --------------------------------------------------------------------- #
-def test_compiled_controller_does_not_leak():
+@pytest.mark.parametrize("spec", [
+    RunSpec(workload="prco", hc_kind="tatas", scale=0.3,
+            machine=MachineSpec.baseline(16)),
+    TINY_SPEC,
+], ids=["prco-tatas", "raytr-mcs-tiny"])
+def test_compiled_controller_does_not_leak(spec):
     if "compiled" not in kernel.available_backends():
         pytest.skip("compiled backend not built on this machine")
     prev = kernel.active_backend()
     kernel.set_backend("compiled")
-    spec = RunSpec(workload="prco", hc_kind="tatas", scale=0.3,
-                   machine=MachineSpec.baseline(16))
     traced = []
     tracemalloc.start()
     try:

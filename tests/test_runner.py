@@ -246,6 +246,16 @@ def test_retry_recovers_from_transient_failure(caplog):
     assert len(retries) == 2
     assert "attempt 3/3 after RuntimeError" in retries[1]
     assert "budget" not in " ".join(retries)
+    # a timeout the inline backend cannot enforce is no budget either
+    caplog.clear()
+    engine = Engine(timeout=5, retries=1,
+                    execute_fn=_FlakyRunner(failures=1))
+    with pytest.warns(RuntimeWarning, match="pool mode"):
+        assert engine.run_spec(small_spec()) == "ok:sctr"
+    retries = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("[retries]")]
+    assert len(retries) == 1
+    assert "budget" not in retries[0]
 
 
 def test_retry_budget_exhaustion_raises_runfailure():
